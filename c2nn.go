@@ -20,9 +20,10 @@
 //	internal/poly       multi-linear polynomials (Algorithm 1 + DNF baseline)
 //	internal/nn         network construction, layer merging, model files
 //	internal/tensor     sparse CSR float32/int32 and bit-packed uint64 kernels
-//	internal/exec/plan  model lowering: kernel selection, threshold fusion,
-//	                    activation-arena liveness
-//	internal/exec/backend  float32 / int32 / bit-packed execution substrates
+//	internal/exec/plan  model lowering: threshold fusion, activation-arena
+//	                    liveness, per-row kernel selection
+//	internal/exec/backend  the execution driver over its float32 / int32 /
+//	                    bit-packed substrates
 //	internal/simengine  batched execution engine (facade over plan + backend)
 //	internal/obs        observability: spans, metrics, Chrome-trace export
 //	internal/circuits   the six Table I benchmark designs

@@ -10,28 +10,15 @@ import (
 	"strings"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/exec/backend"
 	"c2nn/internal/fault"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
 	"c2nn/internal/obs"
-	"c2nn/internal/simengine"
 	"c2nn/internal/synth"
 	"c2nn/internal/testbench"
 )
-
-// pickBackend resolves the -backend flag.
-func pickBackend(name string) (simengine.Precision, error) {
-	switch name {
-	case "float32":
-		return simengine.Float32, nil
-	case "int32":
-		return simengine.Int32, nil
-	case "bitpacked":
-		return simengine.BitPacked, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want float32, int32 or bitpacked)", name)
-}
 
 // runFault implements the "c2nn fault" subcommand: enumerate and
 // collapse the stuck-at/SEU fault universe of a circuit, grade it
@@ -100,7 +87,7 @@ func runFault(args []string) error {
 			}
 		}
 	}
-	prec, err := pickBackend(*backendF)
+	prec, err := backend.ParseKind(*backendF)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@
 //
 //	c2nn -o design.c2nn -L 7 [-top name] file1.v file2.v ...
 //	c2nn -o aes.c2nn -L 11 -circuit AES
+//	c2nn run -model design.c2nn -cycles 1000 -batch 256
+//	c2nn run -circuit UART -L 7 -verify -cycles 64
 //	c2nn lint -all
 //	c2nn lint -circuit AES -L 4 -json
 //	c2nn analyze -circuit UART -L 4 -top 10 -clusters
@@ -26,8 +28,10 @@
 //	-stats       print netlist / mapping / network statistics
 //	-check       run the irlint IR verifier at every stage boundary
 //
-// The lint subcommand runs the cross-stage verifier without writing a
-// model; see "c2nn lint -h". The fault subcommand grades stuck-at/SEU
+// The run subcommand simulates a compiled model (or checks it against
+// the gate-level simulator with -verify); see "c2nn run -h". The lint
+// subcommand runs the cross-stage verifier without writing a model;
+// see "c2nn lint -h". The fault subcommand grades stuck-at/SEU
 // fault coverage on the batched engine; see "c2nn fault -h" and
 // docs/FAULT.md. The profile subcommand compiles and runs a circuit
 // with the observability sink attached, exporting Chrome traces and
@@ -117,67 +121,59 @@ func writeAIG(nl *netlist.Netlist, path string) error {
 	return g.WriteAIGBinary(f, outs)
 }
 
+// commands maps each subcommand to its implementation; a first
+// argument that names none of them starts an ordinary compile.
+var commands = map[string]func([]string) error{
+	"analyze": runAnalyze,
+	"equiv":   runEquiv,
+	"fault":   runFault,
+	"lint":    runLint,
+	"profile": runProfile,
+	"run":     runRun,
+	"watch":   runWatch,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "lint" {
-		if err := runLint(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn lint:", err)
-			os.Exit(1)
+	name, cmd, args := "c2nn", runCompile, os.Args[1:]
+	if len(args) > 0 {
+		if sub, ok := commands[args[0]]; ok {
+			name, cmd, args = "c2nn "+args[0], sub, args[1:]
 		}
-		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "equiv" {
-		if err := runEquiv(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn equiv:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "fault" {
-		if err := runFault(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn fault:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		if err := runAnalyze(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn analyze:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "profile" {
-		if err := runProfile(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn profile:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "watch" {
-		if err := runWatch(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "c2nn watch:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var (
-		lutSize = flag.Int("L", 7, "LUT size (max inputs per Boolean function)")
-		top     = flag.String("top", "", "top module name (default: inferred)")
-		out     = flag.String("o", "", "output model path (default: <top>.c2nn)")
-		circuit = flag.String("circuit", "", "compile a built-in benchmark circuit (AES, SHA, SPI, UART, DMA, RISC-V interface)")
-		noMerge = flag.Bool("no-merge", false, "disable layer merging (keeps the explicit hidden/linear alternation)")
-		flowmap = flag.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
-		stats   = flag.Bool("stats", false, "print pipeline statistics")
-		check   = flag.Bool("check", false, "run the irlint IR verifier at every stage boundary; fail on error diagnostics")
-		aigOut  = flag.String("aig", "", "also write the combinational core as an AIGER file (.aag = ASCII, else binary)")
-	)
-	flag.Parse()
-
-	if err := run(*lutSize, *top, *out, *circuit, !*noMerge, *flowmap, *stats, *check, *aigOut, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "c2nn:", err)
+	if err := cmd(args); err != nil {
+		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
 	}
+}
+
+// runCompile is the default command: Verilog files (or a built-in
+// circuit) in, a .c2nn model file out.
+func runCompile(args []string) error {
+	fs := flag.NewFlagSet("c2nn", flag.ExitOnError)
+	var (
+		lutSize = fs.Int("L", 7, "LUT size (max inputs per Boolean function)")
+		top     = fs.String("top", "", "top module name (default: inferred)")
+		out     = fs.String("o", "", "output model path (default: <top>.c2nn)")
+		circuit = fs.String("circuit", "", "compile a built-in benchmark circuit (AES, SHA, SPI, UART, DMA, RISC-V interface)")
+		noMerge = fs.Bool("no-merge", false, "disable layer merging (keeps the explicit hidden/linear alternation)")
+		flowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
+		stats   = fs.Bool("stats", false, "print pipeline statistics")
+		check   = fs.Bool("check", false, "run the irlint IR verifier at every stage boundary; fail on error diagnostics")
+		aigOut  = fs.String("aig", "", "also write the combinational core as an AIGER file (.aag = ASCII, else binary)")
+	)
+	fs.Usage = func() {
+		subs := make([]string, 0, len(commands))
+		for name := range commands {
+			subs = append(subs, name)
+		}
+		sort.Strings(subs)
+		fmt.Fprintf(fs.Output(), "usage: c2nn [flags] file.v ...\n       c2nn {%s} -h\n", strings.Join(subs, "|"))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return compile(*lutSize, *top, *out, *circuit, !*noMerge, *flowmap, *stats, *check, *aigOut, fs.Args())
 }
 
 // runLint implements the "c2nn lint" subcommand: it runs the
@@ -292,7 +288,7 @@ func runLint(args []string) error {
 	return nil
 }
 
-func run(lutSize int, top, out, circuit string, merge, useFlowmap, stats, check bool, aigOut string, files []string) error {
+func compile(lutSize int, top, out, circuit string, merge, useFlowmap, stats, check bool, aigOut string, files []string) error {
 	start := time.Now()
 	report := &diag.Report{}
 

@@ -14,6 +14,7 @@ import (
 	"c2nn"
 	"c2nn/internal/circuits"
 	"c2nn/internal/exec/analyze"
+	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
 	"c2nn/internal/testbench"
@@ -64,7 +65,7 @@ func runProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	prec, err := pickBackend(*backendF)
+	prec, err := backend.ParseKind(*backendF)
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,3 @@
-// Command nnsim runs a compiled .c2nn model: batched multi-cycle
-// simulation with random or scripted stimuli, or an equivalence check
-// against the gate-level simulator (the paper's §IV-A verification).
-//
-// Usage:
-//
-//	nnsim -model design.c2nn -cycles 1000 -batch 256
-//	nnsim -circuit UART -L 7 -verify -cycles 64
-//
-// With -verify the named built-in circuit is compiled fresh and the NN
-// engine is compared output-for-output against the levelized gate-level
-// reference on identical random stimuli.
 package main
 
 import (
@@ -20,8 +8,8 @@ import (
 	"runtime"
 	"time"
 
-	"c2nn/internal/bench"
-	"c2nn/internal/circuits"
+	"c2nn"
+	"c2nn/internal/exec/backend"
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/nn"
 	"c2nn/internal/simengine"
@@ -29,109 +17,88 @@ import (
 	"c2nn/internal/vcd"
 )
 
-func main() {
+// runRun implements the "c2nn run" subcommand: it runs a compiled .c2nn
+// model (or a freshly compiled built-in circuit) — batched multi-cycle
+// simulation with random or scripted stimuli — or, with -verify,
+// compares the NN engine output-for-output against the levelized
+// gate-level reference on identical random stimuli (the paper's §IV-A
+// verification).
+func runRun(args []string) error {
+	fs := flag.NewFlagSet("c2nn run", flag.ExitOnError)
 	var (
-		modelPath = flag.String("model", "", "compiled .c2nn model file")
-		circuit   = flag.String("circuit", "", "built-in circuit to compile and run")
-		lutSize   = flag.Int("L", 7, "LUT size when compiling a built-in circuit")
-		cycles    = flag.Int("cycles", 256, "clock cycles to simulate")
-		batch     = flag.Int("batch", 256, "stimuli per batch (stimulus parallelism)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (structural parallelism)")
-		verify    = flag.Bool("verify", false, "compare NN outputs against the gate-level simulator")
-		useInt    = flag.Bool("int32", false, "use integer kernels (shorthand for -backend int32)")
-		backendF  = flag.String("backend", "", "execution substrate: float32, int32 or bitpacked (default float32)")
-		seed      = flag.Int64("seed", 1, "stimulus seed")
-		vcdPath   = flag.String("vcd", "", "dump lane-0 port waveforms to this VCD file")
-		tbPath    = flag.String("tb", "", "run a testbench script (set/step/expect directives) instead of random stimuli")
-		info      = flag.Bool("info", false, "print the per-layer structure of the model and exit")
+		modelPath = fs.String("model", "", "compiled .c2nn model file")
+		circuit   = fs.String("circuit", "", "built-in circuit to compile and run")
+		lutSize   = fs.Int("L", 7, "LUT size when compiling a built-in circuit")
+		cycles    = fs.Int("cycles", 256, "clock cycles to simulate")
+		batch     = fs.Int("batch", 256, "stimuli per batch (stimulus parallelism)")
+		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (structural parallelism)")
+		verify    = fs.Bool("verify", false, "compare NN outputs against the gate-level simulator")
+		backendF  = fs.String("backend", "float32", "execution substrate: float32, int32 or bitpacked")
+		seed      = fs.Int64("seed", 1, "stimulus seed")
+		vcdPath   = fs.String("vcd", "", "dump lane-0 port waveforms to this VCD file")
+		tbPath    = fs.String("tb", "", "run a testbench script (set/step/expect directives) instead of random stimuli")
+		info      = fs.Bool("info", false, "print the per-layer structure of the model and exit")
 	)
-	flag.Parse()
-
-	prec, err := pickPrecision(*backendF, *useInt)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: c2nn run [-model file.c2nn | -circuit name [-L n]] [-verify | -tb script.tb | -info] [-backend b] [-cycles n] [-batch n]")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	prec, err := backend.ParseKind(*backendF)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nnsim:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := run(*modelPath, *circuit, *lutSize, *cycles, *batch, *workers, *verify, prec, *info, *seed, *vcdPath, *tbPath); err != nil {
-		fmt.Fprintln(os.Stderr, "nnsim:", err)
-		os.Exit(1)
-	}
-}
 
-// pickPrecision resolves -backend (with -int32 as legacy shorthand).
-func pickPrecision(name string, useInt bool) (simengine.Precision, error) {
-	switch name {
-	case "":
-		if useInt {
-			return simengine.Int32, nil
+	if *verify {
+		if *circuit == "" {
+			return fmt.Errorf("-verify needs -circuit (the gate-level reference is compiled from source)")
 		}
-		return simengine.Float32, nil
-	case "float32":
-		return simengine.Float32, nil
-	case "int32":
-		return simengine.Int32, nil
-	case "bitpacked":
-		return simengine.BitPacked, nil
+		lanes := min(*batch, 16)
+		compared, err := c2nn.Verify(*circuit, *lutSize, *cycles, lanes, *seed)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("VERIFIED: %d cycles x %d lanes, %d comparisons, all identical\n", *cycles, lanes, compared)
+		return nil
 	}
-	return 0, fmt.Errorf("unknown backend %q (want float32, int32 or bitpacked)", name)
-}
 
-func run(modelPath, circuit string, lutSize, cycles, batch, workers int, verify bool, prec simengine.Precision, info bool, seed int64, vcdPath, tbPath string) error {
 	var model *nn.Model
-	var res *bench.CompileResult
-
 	switch {
-	case circuit != "":
-		c, err := circuits.ByName(circuit)
+	case *circuit != "":
+		start := time.Now()
+		model, err = c2nn.CompileBenchmark(*circuit, c2nn.Options{L: *lutSize})
 		if err != nil {
 			return err
 		}
-		res, err = bench.Compile(c, lutSize, true)
-		if err != nil {
-			return err
-		}
-		model = res.Model
 		fmt.Printf("compiled %s at L=%d in %s (%d gates, %d layers)\n",
-			c.Name, lutSize, res.GenTime.Round(time.Millisecond),
+			model.CircuitName, *lutSize, time.Since(start).Round(time.Millisecond),
 			model.GateCount, len(model.Net.Layers))
-	case modelPath != "":
-		var err error
-		model, err = nn.LoadFile(modelPath)
+	case *modelPath != "":
+		model, err = c2nn.LoadModel(*modelPath)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("loaded %q: circuit %s, L=%d, %d layers, %d gates\n",
-			modelPath, model.CircuitName, model.L, len(model.Net.Layers), model.GateCount)
+			*modelPath, model.CircuitName, model.L, len(model.Net.Layers), model.GateCount)
 	default:
-		return fmt.Errorf("pass -model or -circuit (see -h)")
+		return fmt.Errorf("pass -model or -circuit (see c2nn run -h)")
 	}
 
-	if info {
+	if *info {
 		printInfo(model)
 		return nil
 	}
 
-	if verify {
-		if res == nil {
-			return fmt.Errorf("-verify needs -circuit (the gate-level reference is compiled from source)")
-		}
-		vres, err := simengine.Verify(model, res.Program, cycles, min(batch, 16), seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("VERIFIED: %d cycles x %d lanes x %d ports, %d comparisons, all identical\n",
-			vres.Cycles, vres.Batch, vres.Ports, vres.Compared)
-		return nil
-	}
-
-	eng, err := simengine.New(model, simengine.Options{Batch: batch, Workers: workers, Precision: prec})
+	eng, err := simengine.New(model, simengine.Options{Batch: *batch, Workers: *workers, Precision: prec})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
 
-	if tbPath != "" {
-		src, err := os.ReadFile(tbPath)
+	if *tbPath != "" {
+		src, err := os.ReadFile(*tbPath)
 		if err != nil {
 			return err
 		}
@@ -141,7 +108,7 @@ func run(modelPath, circuit string, lutSize, cycles, batch, workers int, verify 
 		}
 		res, err := script.Run(eng)
 		if err != nil {
-			return fmt.Errorf("%s: %w", tbPath, err)
+			return fmt.Errorf("%s: %w", *tbPath, err)
 		}
 		fmt.Printf("testbench PASSED: %d steps, %d checks, %d stimulus loads\n",
 			res.Steps, res.Checks, res.Applied)
@@ -149,8 +116,8 @@ func run(modelPath, circuit string, lutSize, cycles, batch, workers int, verify 
 	}
 
 	var tracer *vcd.PortTracer
-	if vcdPath != "" {
-		f, err := os.Create(vcdPath)
+	if *vcdPath != "" {
+		f, err := os.Create(*vcdPath)
 		if err != nil {
 			return err
 		}
@@ -166,11 +133,11 @@ func run(modelPath, circuit string, lutSize, cycles, batch, workers int, verify 
 		defer tracer.Close()
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]uint64, batch)
+	rng := rand.New(rand.NewSource(*seed))
+	vals := make([]uint64, *batch)
 	sample := make(map[string]uint64)
 	start := time.Now()
-	for cyc := 0; cyc < cycles; cyc++ {
+	for cyc := 0; cyc < *cycles; cyc++ {
 		for _, in := range model.Inputs {
 			for b := range vals {
 				v := rng.Uint64()
@@ -202,8 +169,8 @@ func run(modelPath, circuit string, lutSize, cycles, batch, workers int, verify 
 		eng.Step()
 	}
 	elapsed := time.Since(start)
-	gcs := simengine.Throughput(model.GateCount, cycles, batch, elapsed)
-	fmt.Printf("simulated %d cycles x %d lanes in %s\n", cycles, batch, elapsed.Round(time.Microsecond))
+	gcs := simengine.Throughput(model.GateCount, *cycles, *batch, elapsed)
+	fmt.Printf("simulated %d cycles x %d lanes in %s\n", *cycles, *batch, elapsed.Round(time.Microsecond))
 	fmt.Printf("throughput: %.3E gates*cycles/s\n", gcs)
 
 	eng.Forward()
@@ -284,19 +251,21 @@ func printInfo(model *nn.Model) {
 			100*float64(p.ArenaUnits)/float64(model.Net.TotalUnits))
 	}
 	fmt.Println()
-	fmt.Printf("%-6s %-10s %-15s %10s %10s %12s %10s\n", "layer", "kind", "kernel", "rows", "cols", "nnz", "sparsity")
+	fmt.Printf("%-6s %-10s %10s %10s %12s %10s  %s\n", "layer", "kind", "rows", "cols", "nnz", "sparsity", "row kernels")
 	for i := range model.Net.Layers {
 		l := &model.Net.Layers[i]
 		kind := "linear"
 		if l.Threshold {
 			kind = "threshold"
 		}
-		kernel := "-"
+		mix := map[string]int{}
 		if perr == nil {
-			kernel = p.Layers[i].Kernel.String()
+			for _, g := range p.Layers[i].Groups {
+				mix[g.Kind.String()] = len(g.Rows)
+			}
 		}
-		fmt.Printf("%-6d %-10s %-15s %10d %10d %12d %10.5f\n",
-			i, kind, kernel, l.W.Rows, l.W.Cols, l.W.NNZ(), l.W.Sparsity())
+		fmt.Printf("%-6d %-10s %10d %10d %12d %10.5f  %s\n",
+			i, kind, l.W.Rows, l.W.Cols, l.W.NNZ(), l.W.Sparsity(), mixString(mix))
 	}
 	fmt.Printf("\ninputs:")
 	for _, p := range model.Inputs {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"c2nn"
+	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
 	"c2nn/internal/testbench"
 )
@@ -71,7 +72,7 @@ func runWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	prec, err := pickBackend(*backendF)
+	prec, err := backend.ParseKind(*backendF)
 	if err != nil {
 		return err
 	}

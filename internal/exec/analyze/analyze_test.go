@@ -330,10 +330,7 @@ func row(weights []int32, thresh int32, linear bool) *plan.Layer {
 		W:    &tensor.CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: fvals},
 		WInt: &tensor.Int32CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: weights},
 	}
-	if linear {
-		l.Kernel = plan.KernelLinear
-	} else {
-		l.Kernel = plan.KernelThreshold
+	if !linear {
 		l.Thresh = []int32{thresh}
 	}
 	return l
@@ -372,7 +369,7 @@ func TestDegenerateLint(t *testing.T) {
 	_, p := compilePlan(t, 4, true)
 	li := -1
 	for i := range p.Layers {
-		if p.Layers[i].Kernel != plan.KernelLinear {
+		if !p.Layers[i].Linear() {
 			li = i
 			break
 		}

@@ -111,9 +111,13 @@ func Cost(p *plan.Plan) *CostReport {
 	rep := &CostReport{}
 	for li := range p.Layers {
 		l := &p.Layers[li]
+		kernel := "threshold"
+		if l.Linear() {
+			kernel = "linear"
+		}
 		lc := LayerCost{
 			Layer:  li,
-			Kernel: l.Kernel.String(),
+			Kernel: kernel,
 			Rows:   l.WInt.Rows,
 			NNZ:    len(l.WInt.Val),
 			Depth:  li,

@@ -277,7 +277,7 @@ func hasPred(preds []int32, pc int32) bool {
 func lintDegenerate(p *plan.Plan, rep *DegenReport) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	for _, dr := range rep.Constant {
-		if p.Layers[dr.Layer].Kernel == plan.KernelLinear {
+		if p.Layers[dr.Layer].Linear() {
 			continue // constant-0 linear rows are padding, not wasted compares
 		}
 		ds = append(ds, RuleConstRow.New(fmt.Sprintf("layer %d", dr.Layer),

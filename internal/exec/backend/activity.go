@@ -7,14 +7,13 @@ import (
 	"c2nn/internal/obs"
 )
 
-// activity is the shared run-time state of activity-driven execution,
-// embedded in all three substrates. The substrate supplies the one
-// piece that depends on the native element type — a rootToggled
-// closure that diffs a root's current activation rows against a
-// previous-pass snapshot and refreshes the snapshot — and the shared
-// code does the rest: dirtiness propagation along the cluster graph at
-// the start of every Forward, and per-group row subsetting so only
-// rows of dirty clusters are dispatched.
+// activity is the driver's run-time state of activity-driven
+// execution. The substrate supplies the one piece that depends on the
+// native element type — rootToggled, which diffs a root's current
+// activation rows against a previous-pass snapshot and refreshes the
+// snapshot — and this code does the rest: dirtiness propagation along
+// the cluster graph at the start of every Forward, and per-group row
+// subsetting so only rows of dirty clusters are dispatched.
 //
 // The skip pass is scoped to Forward: begin sets the pass flag after
 // propagation and end clears it, so RunLayer called directly (the
@@ -52,11 +51,8 @@ type activity struct {
 
 // enable builds the dispatch state over the plan's activity index,
 // constructing (and attaching) the index when the plan was compiled
-// without Options.Activity. Idempotent.
+// without Options.Activity.
 func (a *activity) enable(p *plan.Plan, tr *obs.Trace) error {
-	if a.enabled {
-		return nil
-	}
 	idx := p.Activity
 	if idx == nil {
 		var err error
@@ -90,21 +86,21 @@ func (a *activity) enable(p *plan.Plan, tr *obs.Trace) error {
 	return nil
 }
 
-// begin opens a skip pass: rootToggled is called once per root to diff
-// its planes against the snapshot (and refresh it), then dirtiness
+// begin opens a skip pass: the substrate diffs every root's rows
+// against its snapshot (and refreshes it), then dirtiness
 // propagates forward through the cluster graph — clusters are sorted
 // by layer, so every predecessor is decided before its readers. An
 // invalidation (first pass, Reset, PokeUnit, overlay churn) forces
 // every root dirty while still refreshing the snapshot. No-op when
 // activity is disabled.
-func (a *activity) begin(rootToggled func(root int) bool) {
+func (a *activity) begin(sub substrate) {
 	if !a.enabled {
 		return
 	}
 	inval := a.invalid
 	a.invalid = false
 	for r := range a.rootDirty {
-		t := rootToggled(r)
+		t := sub.rootToggled(a.idx.RootSlots[r], a.rootOff[r])
 		a.rootDirty[r] = t || inval
 		if t {
 			a.rootTog[r].Add(1)
@@ -152,12 +148,11 @@ func (a *activity) begin(rootToggled func(root int) bool) {
 func (a *activity) end() { a.pass = false }
 
 // rowsFor returns the rows (and parallel LUT tables) of one group to
-// dispatch: the full group outside a skip pass or for layers without
-// kernel IR, the dirty subset during one. Empty rows mean the whole
-// group is clean — skip the dispatch entirely, the output slots still
-// hold last pass's values.
+// dispatch: the full group outside a skip pass, the dirty subset
+// during one. Empty rows mean the whole group is clean — skip the
+// dispatch entirely, the output slots still hold last pass's values.
 func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) ([]int32, []uint64) {
-	if !a.pass || a.idx.Segments[li] == nil {
+	if !a.pass {
 		return g.Rows, g.Tables
 	}
 	segs := a.idx.Segments[li][gi]
@@ -191,33 +186,4 @@ func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) ([]int32, []uint64) {
 		return rows, nil
 	}
 	return rows, tabs
-}
-
-// invalidate forces every cluster dirty on the next pass — the hook
-// for state mutations the root diff cannot see (Reset, PokeUnit,
-// overlay install/remove).
-func (a *activity) invalidate() { a.invalid = true }
-
-// counters reports the lifetime dirty/skipped cluster dispatch tallies.
-func (a *activity) counters() (dirty, skipped int64) {
-	return a.nDirty.Load(), a.nSkipped.Load()
-}
-
-// rootToggles copies the per-root toggle counts into dst (grown when
-// too small) and returns the filled slice; nil when activity is
-// disabled. Safe to call concurrently with a pass — each count is read
-// atomically, so the result is a consistent-enough live view for
-// telemetry ranking (busiest roots), not a barrier snapshot.
-func (a *activity) rootToggles(dst []int64) []int64 {
-	if !a.enabled {
-		return nil
-	}
-	if cap(dst) < len(a.rootTog) {
-		dst = make([]int64, len(a.rootTog))
-	}
-	dst = dst[:len(a.rootTog)]
-	for r := range a.rootTog {
-		dst[r] = a.rootTog[r].Load()
-	}
-	return dst
 }

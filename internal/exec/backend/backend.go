@@ -1,12 +1,14 @@
-// Package backend holds the execution substrates of the plan / kernel /
-// backend split: given a lowered plan (internal/exec/plan) and a batch
-// size, a Backend owns the activation arena in its native element type
-// and runs the plan's layers with fused kernels. Three substrates are
-// provided — float32 (the paper's SpMM formulation), int32 (exact
-// integer arithmetic), and bit-packed uint64 (64 stimulus lanes per
-// word, thresholds by bit-sliced plane arithmetic). All three are
-// bit-identical on compiled circuits, which the differential tests
-// enforce.
+// Package backend executes a lowered plan (internal/exec/plan) over a
+// batch of stimulus lanes. One driver, Backend, owns everything the
+// paper's engine does once — the layer walk, the row-partitioned pool
+// dispatch, activity skipping and instrumentation — and a substrate
+// underneath it owns the activation arena in its native element type
+// and the row kernels over it. Three substrates are provided — float32
+// (the paper's SpMM formulation) and int32 (exact integer arithmetic),
+// two instantiations of one generic lane substrate, and bit-packed
+// uint64 (64 stimulus lanes per word, thresholds by bit-sliced plane
+// arithmetic). All three are bit-identical on compiled circuits, which
+// the differential tests enforce.
 //
 // The arena is addressed in plan slot space: row r of the arena holds
 // the activation of every unit the plan mapped to slot r, batch lanes
@@ -52,21 +54,30 @@ func (k Kind) String() string {
 // Kinds returns all substrates in declaration order.
 func Kinds() []Kind { return []Kind{Float32, Int32, BitPacked} }
 
-// Backend is one execution substrate over a plan's activation arena.
-// Activations are binary (a compiled network invariant), so the lane
-// accessors speak bool regardless of the native element type.
-type Backend interface {
-	// Kind identifies the substrate.
-	Kind() Kind
-	// Batch returns the number of stimulus lanes.
-	Batch() int
-	// Forward runs every layer of the plan over the current arena.
-	Forward()
-	// RunLayer runs a single plan layer over the current arena. Forward
-	// is equivalent to RunLayer over every layer in order; the split
-	// exists so callers can interpose per-lane state edits between
-	// layers (the fault-injection overlay hook).
-	RunLayer(li int)
+// ParseKind is the inverse of Kind.String, for -backend flags.
+func ParseKind(name string) (Kind, error) {
+	for _, k := range Kinds() {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown backend %q (want float32, int32 or bitpacked)", name)
+}
+
+// substrate is what differs between element types: the activation
+// arena, the row kernels over it, the activity snapshot diff and the
+// lane accessors. Activations are binary (a compiled network
+// invariant), so the accessors speak bool regardless of element type.
+type substrate interface {
+	// run evaluates rows of layer l with the kernel of the given kind;
+	// tabs is parallel to rows for KTable groups, nil otherwise.
+	run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs []uint64)
+	// snapshot allocates the previous-pass copy of that many root rows.
+	snapshot(units int)
+	// rootToggled diffs the arena rows in slots against snapshot rows
+	// off, off+1, … and refreshes the snapshot rows that changed.
+	rootToggled(slots []int32, off int) bool
+
 	// Set writes one activation lane of an arena row.
 	Set(slot int32, lane int, v bool)
 	// Get reads one activation lane of an arena row.
@@ -79,64 +90,169 @@ type Backend interface {
 	Zero()
 	// MemoryBytes reports the arena size in bytes.
 	MemoryBytes() int64
-	// EnableActivity turns on activity-driven execution: every Forward
-	// starts by diffing the sequential roots (input ports, FF Q bits)
-	// against the previous pass, propagates dirtiness through the
-	// plan's cluster graph, and dispatches only rows of dirty clusters
-	// — clean clusters' output slots keep last pass's values. Needs
-	// cluster metadata and an alias-free arena (plan.Options.Activity
-	// provides both); returns plan.ErrNoClusters / plan.ErrAliasedSlots
-	// otherwise. RunLayer called directly is never subject to skipping.
-	EnableActivity() error
-	// InvalidateActivity forces every cluster dirty on the next
-	// Forward — required after state mutations the root diff cannot
-	// see (arena Zero/Reset, direct unit pokes, fault-overlay churn).
-	// No-op when activity is disabled.
-	InvalidateActivity()
-	// ActivityCounters reports how many clusters were dispatched dirty
-	// and skipped clean over the backend's lifetime (both zero when
-	// activity is disabled).
-	ActivityCounters() (dirty, skipped int64)
-	// ActivityRootToggles copies the lifetime per-root toggle counts
-	// (how many passes each sequential root — input port or FF Q bit —
-	// actually changed value) into dst, growing it when needed, and
-	// returns the filled slice in plan.ActivityIndex root order. Returns
-	// nil when activity is disabled. Safe concurrently with Forward;
-	// telemetry ranks busiest roots from consecutive windows of these.
-	ActivityRootToggles(dst []int64) []int64
+}
+
+// Backend is the execution driver over one substrate. The substrate's
+// lane accessors (Set, Get, SetUniform, Copy, Zero, MemoryBytes) are
+// promoted, so a caller's lane access is one dynamic call.
+type Backend struct {
+	substrate
+	kind  Kind
+	batch int
+	plan  *plan.Plan
+	pool  *Pool
+	in    instr
+	act   activity
+	// cur is the in-flight dispatch read by runFn. Pool.Run blocks until
+	// every chunk completes, so the fields are stable for a dispatch's
+	// duration; building the closure once keeps RunLayer allocation-free
+	// (a closure handed to Pool.Run escapes through the job channel and
+	// would otherwise heap-allocate on every group of every pass).
+	cur struct {
+		l    *plan.Layer
+		kind plan.KernelKind
+		rows []int32
+		tabs []uint64
+	}
+	runFn func(lo, hi int)
 }
 
 // New builds a backend of the given kind over the plan. The pool may be
 // nil or single-worker, in which case layers run inline. A non-nil
 // trace turns on per-layer kernel spans and dispatch counters; nil
 // keeps the hot path to a single branch per layer.
-func New(k Kind, p *plan.Plan, batch int, pool *Pool, tr *obs.Trace) (Backend, error) {
+func New(k Kind, p *plan.Plan, batch int, pool *Pool, tr *obs.Trace) (*Backend, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("backend: batch must be >= 1, got %d", batch)
 	}
+	var sub substrate
 	switch k {
 	case Float32:
-		return newFloat32(p, batch, pool, tr), nil
+		sub = newLanes(p, batch, func(l *plan.Layer) ([]float32, []float32) { return l.W.Val, l.Bias })
 	case Int32:
-		return newInt32(p, batch, pool, tr), nil
+		sub = newLanes(p, batch, func(l *plan.Layer) ([]int32, []int32) { return l.WInt.Val, l.Thresh })
 	case BitPacked:
-		return newBitPacked(p, batch, pool, tr)
+		var err error
+		if sub, err = newPacked(p, batch, tr); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("backend: unknown kind %d", uint8(k))
 	}
-	return nil, fmt.Errorf("backend: unknown kind %d", uint8(k))
+	b := &Backend{substrate: sub, kind: k, batch: batch, plan: p, pool: pool, in: newInstr(tr, p)}
+	b.runFn = func(lo, hi int) {
+		c := &b.cur
+		tabs := c.tabs
+		if tabs != nil {
+			tabs = tabs[lo:hi]
+		}
+		b.run(c.l, c.kind, c.rows[lo:hi], tabs)
+	}
+	return b, nil
 }
 
-// instr is the per-backend observability hook-up, shared by all three
-// substrates: pre-built per-layer span names (so the hot path never
-// formats strings) and pre-resolved dispatch counters per kernel kind.
-// The zero instr is the disabled state — beginLayer is then a single
-// nil check.
+// Kind identifies the substrate.
+func (b *Backend) Kind() Kind { return b.kind }
+
+// Batch returns the number of stimulus lanes.
+func (b *Backend) Batch() int { return b.batch }
+
+// Forward runs every layer of the plan over the current arena, as one
+// skip pass when activity is enabled.
+func (b *Backend) Forward() {
+	b.act.begin(b.substrate)
+	for li := range b.plan.Layers {
+		b.RunLayer(li)
+	}
+	b.act.end()
+}
+
+// RunLayer runs a single plan layer over the current arena: one
+// Pool.Run per non-empty row group. Forward is RunLayer over every
+// layer in order; the split exists so callers can interpose per-lane
+// state edits between layers (the fault-injection overlay hook).
+// Called directly it is never subject to activity skipping.
+func (b *Backend) RunLayer(li int) {
+	sp := b.in.beginLayer(li)
+	l := &b.plan.Layers[li]
+	b.cur.l = l
+	for gi := range l.Groups {
+		g := &l.Groups[gi]
+		rows, tabs := b.act.rowsFor(li, gi, g)
+		if len(rows) == 0 {
+			continue // every row's cluster is clean this pass
+		}
+		b.in.countRows(g.Kind, len(rows))
+		b.cur.kind, b.cur.rows, b.cur.tabs = g.Kind, rows, tabs
+		b.pool.Run(len(rows), b.runFn)
+	}
+	sp.End()
+}
+
+// EnableActivity turns on activity-driven execution: every Forward
+// starts by diffing the sequential roots (input ports, FF Q bits)
+// against the previous pass, propagates dirtiness through the plan's
+// cluster graph, and dispatches only rows of dirty clusters — clean
+// clusters' output slots keep last pass's values. Needs cluster
+// metadata and an alias-free arena (plan.Options.Activity provides
+// both); returns plan.ErrNoClusters / plan.ErrAliasedSlots otherwise.
+func (b *Backend) EnableActivity() error {
+	if b.act.enabled {
+		return nil
+	}
+	if err := b.act.enable(b.plan, b.in.tr); err != nil {
+		return err
+	}
+	b.snapshot(b.act.units)
+	return nil
+}
+
+// InvalidateActivity forces every cluster dirty on the next Forward —
+// required after state mutations the root diff cannot see (arena
+// Zero/Reset, direct unit pokes, fault-overlay churn). No-op when
+// activity is disabled.
+func (b *Backend) InvalidateActivity() { b.act.invalid = true }
+
+// ActivityCounters reports how many clusters were dispatched dirty and
+// skipped clean over the backend's lifetime (both zero when activity
+// is disabled).
+func (b *Backend) ActivityCounters() (dirty, skipped int64) {
+	return b.act.nDirty.Load(), b.act.nSkipped.Load()
+}
+
+// ActivityRootToggles copies the lifetime per-root toggle counts (how
+// many passes each sequential root — input port or FF Q bit — actually
+// changed value) into dst, growing it when needed, and returns the
+// filled slice in plan.ActivityIndex root order. Returns nil when
+// activity is disabled. Safe concurrently with Forward — each count is
+// read atomically, a consistent-enough live view for telemetry ranking
+// busiest roots, not a barrier snapshot.
+func (b *Backend) ActivityRootToggles(dst []int64) []int64 {
+	if !b.act.enabled {
+		return nil
+	}
+	tog := b.act.rootTog
+	if cap(dst) < len(tog) {
+		dst = make([]int64, len(tog))
+	}
+	dst = dst[:len(tog)]
+	for r := range tog {
+		dst[r] = tog[r].Load()
+	}
+	return dst
+}
+
+// instr is the driver's observability hook-up: pre-built per-layer
+// span names (so the hot path never formats strings) and pre-resolved
+// dispatch counters per layer form and per kernel kind. The zero instr
+// is the disabled state — beginLayer is then a single nil check.
 type instr struct {
 	tr    *obs.Trace
 	names []string
-	disp  [3]*obs.Counter
+	// disp[li] is layer li's exec.dispatch.linear / .threshold counter.
+	disp []*obs.Counter
 	// kinds counts rows dispatched through each specialized kernel of
-	// the row-group IR (exec.kernel.<kind>), complementing the
-	// per-layer exec.dispatch.* counters above.
+	// the row-group IR (exec.kernel.<kind>).
 	kinds [plan.NumKernelKinds]*obs.Counter
 }
 
@@ -144,13 +260,15 @@ func newInstr(tr *obs.Trace, p *plan.Plan) instr {
 	if tr == nil {
 		return instr{}
 	}
-	in := instr{tr: tr, names: make([]string, len(p.Layers))}
+	in := instr{tr: tr, names: make([]string, len(p.Layers)), disp: make([]*obs.Counter, len(p.Layers))}
 	for i := range p.Layers {
-		in.names[i] = fmt.Sprintf("layer %03d %s", i, p.Layers[i].Kernel)
+		form := "threshold"
+		if p.Layers[i].Linear() {
+			form = "linear"
+		}
+		in.names[i] = fmt.Sprintf("layer %03d %s", i, form)
+		in.disp[i] = tr.Counter("exec.dispatch." + form)
 	}
-	in.disp[plan.KernelLinear] = tr.Counter("exec.dispatch.linear")
-	in.disp[plan.KernelThreshold] = tr.Counter("exec.dispatch.threshold")
-	in.disp[plan.KernelUnitThreshold] = tr.Counter("exec.dispatch.unit_threshold")
 	for k := range in.kinds {
 		in.kinds[k] = tr.Counter("exec.kernel." + plan.KernelKind(k).String())
 	}
@@ -159,11 +277,11 @@ func newInstr(tr *obs.Trace, p *plan.Plan) instr {
 
 // beginLayer counts the dispatch and opens the layer's kernel span.
 // With no trace attached it returns the inert zero Span.
-func (in *instr) beginLayer(li int, k plan.Kernel) obs.Span {
+func (in *instr) beginLayer(li int) obs.Span {
 	if in.tr == nil {
 		return obs.Span{}
 	}
-	in.disp[k].Inc()
+	in.disp[li].Inc()
 	return in.tr.Begin(in.names[li])
 }
 

@@ -101,7 +101,7 @@ func TestForwardAgreesAcrossBackends(t *testing.T) {
 		model, p := compilePlan(t, 4, merge)
 		net := model.Net
 		for _, batch := range []int{5, 64, 67, 130} {
-			backends := make([]Backend, 0, 3)
+			backends := make([]*Backend, 0, 3)
 			for _, kind := range Kinds() {
 				be, err := New(kind, p, batch, nil, nil)
 				if err != nil {

@@ -47,8 +47,7 @@ type ActivityIndex struct {
 	// Segments[li][gi] cuts layer li's group gi along cluster
 	// boundaries, segments in order of first appearance (ascending
 	// rows). A group wholly owned by one cluster has one segment whose
-	// Rows alias the group's Rows. Layers without kernel IR (hand-built
-	// plans) have a nil inner slice and are always dispatched in full.
+	// Rows alias the group's Rows.
 	Segments [][][]ActivitySegment
 	// NumRoots is the number of sequential roots: ports first, then
 	// flip-flop Q bits, mirroring ComputeClusters' numbering.
@@ -137,9 +136,6 @@ func BuildActivityIndex(p *Plan) (*ActivityIndex, error) {
 	// Cut every row group along cluster boundaries.
 	for li := range p.Layers {
 		l := &p.Layers[li]
-		if len(l.Groups) == 0 {
-			continue // no kernel IR: dispatched in full, never skipped
-		}
 		rc := meta.RowCluster[li]
 		segs := make([][]ActivitySegment, len(l.Groups))
 		for gi := range l.Groups {

@@ -83,7 +83,7 @@ func ClassifyRow(l *Layer, r int) RowClass {
 		}
 	}
 
-	if l.Kernel == KernelLinear {
+	if l.Linear() {
 		// A linear row's output is its exact integer sum; the network
 		// invariant keeps it in {0,1}. A row with no inputs is the
 		// constant 0.
@@ -132,7 +132,7 @@ func ClassifyRow(l *Layer, r int) RowClass {
 // row always fires, false when it never can. Meaningless (false) for
 // non-constant rows.
 func ConstValue(l *Layer, r int) bool {
-	if l.Kernel == KernelLinear {
+	if l.Linear() {
 		return false // the only constant linear rows are empty sums
 	}
 	var neg int64

@@ -135,7 +135,7 @@ func KindOfRow(l *Layer, r int) (KernelKind, uint64) {
 			return KTable, tab
 		}
 	}
-	if l.Kernel == KernelLinear {
+	if l.Linear() {
 		return KLinear, 0
 	}
 	return KGeneral, 0
@@ -149,7 +149,7 @@ func RowTable(l *Layer, r int) uint64 {
 	p0, p1 := l.WInt.RowPtr[r], l.WInt.RowPtr[r+1]
 	k := int(p1 - p0)
 	var th int64
-	if l.Kernel != KernelLinear {
+	if !l.Linear() {
 		th = int64(l.Thresh[r])
 	}
 	var tab uint64
@@ -207,7 +207,7 @@ func RowPlaneCost(l *Layer, r int) (planeAdds, comparePasses int64) {
 			rowNeg -= int64(v)
 		}
 	}
-	if l.Kernel != KernelLinear {
+	if !l.Linear() {
 		th := int64(l.Thresh[r])
 		if th >= 0 {
 			planeAdds += int64(bits.OnesCount64(uint64(th)))
@@ -248,18 +248,10 @@ func buildGroups(l *Layer) {
 }
 
 // RowKinds expands the layer's groups into parallel per-row kind and
-// table lookups. Layers without compiled groups (hand-built plans) are
-// classified on the fly, so the result always matches what buildGroups
-// would produce.
+// table lookups.
 func (l *Layer) RowKinds() (kinds []KernelKind, tables []uint64) {
 	kinds = make([]KernelKind, l.WInt.Rows)
 	tables = make([]uint64, l.WInt.Rows)
-	if len(l.Groups) == 0 {
-		for r := range kinds {
-			kinds[r], tables[r] = KindOfRow(l, r)
-		}
-		return kinds, tables
-	}
 	for gi := range l.Groups {
 		g := &l.Groups[gi]
 		for i, r := range g.Rows {
@@ -280,16 +272,7 @@ func (l *Layer) RowKinds() (kinds []KernelKind, tables []uint64) {
 func (p *Plan) KernelMix() map[string]int {
 	mix := make(map[string]int)
 	for li := range p.Layers {
-		l := &p.Layers[li]
-		if len(l.Groups) == 0 {
-			kinds, _ := l.RowKinds()
-			for _, k := range kinds {
-				mix[k.String()]++
-			}
-			continue
-		}
-		for gi := range l.Groups {
-			g := &l.Groups[gi]
+		for _, g := range p.Layers[li].Groups {
 			mix[g.Kind.String()] += len(g.Rows)
 		}
 	}

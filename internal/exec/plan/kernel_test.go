@@ -83,7 +83,7 @@ func TestRowTableMatchesWeights(t *testing.T) {
 				t.Fatalf("layer %d row %d: %d-input row selected KTable", li, r, k)
 			}
 			var th int64
-			if l.Kernel != KernelLinear {
+			if !l.Linear() {
 				th = int64(l.Thresh[r])
 			}
 			for i := 0; i < 1<<uint(k); i++ {

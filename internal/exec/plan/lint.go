@@ -17,13 +17,13 @@ var (
 	RuleEXSlot = diag.Register(diag.Rule{
 		ID: "EX001", Stage: diag.StagePlan, Severity: diag.Error,
 		Summary: "arena slot map or activation block inconsistent"})
-	// RuleEXKernel fires when a layer's kernel disagrees with the
-	// model layer it lowers: a threshold layer lowered to a linear
-	// kernel, a unit-weight kernel over non-unit weights, a linear
-	// kernel carrying a threshold vector.
+	// RuleEXKernel fires when a layer's threshold vectors disagree with
+	// the model layer it lowers — a threshold layer lowered without
+	// Thresh or Bias, a linear layer carrying either — or the plan and
+	// the network differ in layer count.
 	RuleEXKernel = diag.Register(diag.Rule{
 		ID: "EX002", Stage: diag.StagePlan, Severity: diag.Error,
-		Summary: "kernel selection disagrees with layer"})
+		Summary: "layer linearity disagrees with model"})
 	// RuleEXOverlap fires when two activation blocks share arena rows
 	// while both are live — an independent recomputation of the
 	// liveness analysis that justified the sharing.
@@ -110,28 +110,17 @@ func (p *Plan) Lint() []diag.Diagnostic {
 			}
 		}
 
-		// Kernel agreement with the model layer.
+		// Threshold presence must agree with the model layer: it is the
+		// one bit that tells kernels whether to compare.
 		switch {
-		case ml.Threshold && pl.Kernel == KernelLinear:
-			ds = append(ds, RuleEXKernel.New(loc(li), "threshold layer lowered to linear kernel"))
-		case !ml.Threshold && pl.Kernel != KernelLinear:
-			ds = append(ds, RuleEXKernel.New(loc(li), "linear layer lowered to %s kernel", pl.Kernel))
-		}
-		if pl.Kernel == KernelUnitThreshold {
-			for i, v := range pl.W.Val {
-				if v != 1 {
-					ds = append(ds, RuleEXKernel.New(loc(li),
-						"unit-threshold kernel over weight %v at entry %d", v, i))
-					break
-				}
-			}
-		}
-		if pl.Kernel == KernelLinear && (pl.Thresh != nil || pl.Bias != nil) {
-			ds = append(ds, RuleEXKernel.New(loc(li), "linear kernel carries a threshold vector"))
+		case ml.Threshold && (pl.Thresh == nil || pl.Bias == nil):
+			ds = append(ds, RuleEXKernel.New(loc(li), "threshold layer lowered without its threshold or bias vector"))
+		case !ml.Threshold && (pl.Thresh != nil || pl.Bias != nil):
+			ds = append(ds, RuleEXKernel.New(loc(li), "linear layer carries a threshold vector"))
 		}
 
 		// Threshold fusion.
-		if pl.Kernel != KernelLinear {
+		if !pl.Linear() {
 			if len(pl.Thresh) != pl.W.Rows {
 				ds = append(ds, RuleEXThresh.New(loc(li),
 					"threshold vector length %d for %d rows", len(pl.Thresh), pl.W.Rows))

@@ -3,10 +3,10 @@
 // backend split of the execution engine. Where nn.Model describes the
 // network (what to compute), a Plan fixes how it is computed:
 //
-//   - kernel selection — each layer is classified as exact-linear,
-//     general threshold, or unit-weight threshold (every weight +1, the
-//     Fig. 2 term-neuron shape), so backends can skip the multiply on
-//     the common case;
+//   - kernel selection — every row is assigned the cheapest kernel
+//     that computes it exactly and rows sharing a kernel are batched
+//     into row groups (kernel.go), so backends dispatch once per
+//     (layer, kind);
 //   - threshold fusion — the float bias vector of each threshold layer
 //     is folded into an integer threshold (all weights and biases of a
 //     compiled circuit are exact integers), so a row fires iff its
@@ -34,39 +34,8 @@ import (
 	"c2nn/internal/tensor"
 )
 
-// Kernel classifies how a layer is executed.
-type Kernel uint8
-
-// Kernels.
-const (
-	// KernelLinear is the exact linear product (no threshold); the
-	// network invariant guarantees binary outputs.
-	KernelLinear Kernel = iota
-	// KernelThreshold is the general fused product-and-compare:
-	// out[r] = Σ w·a > Thresh[r].
-	KernelThreshold
-	// KernelUnitThreshold is KernelThreshold specialised to all-ones
-	// weights: the sum is a population count over active inputs.
-	KernelUnitThreshold
-)
-
-// String names the kernel.
-func (k Kernel) String() string {
-	switch k {
-	case KernelLinear:
-		return "linear"
-	case KernelThreshold:
-		return "threshold"
-	case KernelUnitThreshold:
-		return "unit-threshold"
-	}
-	return fmt.Sprintf("kernel(%d)", uint8(k))
-}
-
 // Layer is one lowered layer of the plan.
 type Layer struct {
-	// Kernel selects the execution strategy.
-	Kernel Kernel
 	// W is the layer matrix with columns rewritten into arena slots
 	// (RowPtr and Val are shared with the model's matrix).
 	W *tensor.CSR
@@ -76,7 +45,8 @@ type Layer struct {
 	// Bias is the model's float bias vector (threshold kernels only).
 	Bias []float32
 	// Thresh is the fused integer threshold: row r fires iff its
-	// integer sum strictly exceeds Thresh[r]. Nil for KernelLinear.
+	// integer sum strictly exceeds Thresh[r]. Nil for exact-linear
+	// layers (no threshold; the network invariant keeps them binary).
 	Thresh []int32
 	// OutSlot is the first arena slot of this layer's output block;
 	// the block spans W.Rows consecutive slots.
@@ -90,6 +60,10 @@ type Layer struct {
 	// appears in exactly one group; backends dispatch per group.
 	Groups []RowGroup
 }
+
+// Linear reports whether the layer is an exact linear product rather
+// than a thresholded one.
+func (l *Layer) Linear() bool { return l.Thresh == nil }
 
 // Plan is a lowered, executable form of a model's network.
 type Plan struct {
@@ -247,7 +221,6 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 	}
 
 	p := &Plan{Model: m, ArenaUnits: int(a.top), Slot: slot}
-	var kernels [3]int64
 	var kinds [NumKernelKinds]int64
 	for li := range net.Layers {
 		l := &net.Layers[li]
@@ -255,7 +228,6 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		kernels[pl.Kernel]++
 		for gi := range pl.Groups {
 			kinds[pl.Groups[gi].Kind] += int64(len(pl.Groups[gi].Rows))
 		}
@@ -275,10 +247,7 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 			SetInt("total_units", int64(net.TotalUnits)).
 			SetInt("arena_units", int64(p.ArenaUnits)).
 			SetInt("slots_reused", a.reused).
-			SetInt("slots_fresh", a.fresh).
-			SetInt("kernels_linear", kernels[KernelLinear]).
-			SetInt("kernels_threshold", kernels[KernelThreshold]).
-			SetInt("kernels_unit_threshold", kernels[KernelUnitThreshold])
+			SetInt("slots_fresh", a.fresh)
 		for k, n := range kinds {
 			if n > 0 {
 				sp.SetInt("rows_"+KernelKind(k).String(), n)
@@ -288,13 +257,12 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 	return p, nil
 }
 
-// lowerLayer rewrites one layer's columns into slot space, selects its
-// kernel, fuses the threshold and builds the integer mirror.
+// lowerLayer rewrites one layer's columns into slot space, fuses the
+// threshold, builds the integer mirror and groups rows by kernel.
 func lowerLayer(l *nn.Layer, li int, slot []int32, arenaUnits int, out int32) (Layer, error) {
 	w := l.W
 	cols := make([]int32, len(w.Col))
 	vals := make([]int32, len(w.Val))
-	unit := true
 	for i, c := range w.Col {
 		cols[i] = slot[c]
 	}
@@ -304,22 +272,13 @@ func lowerLayer(l *nn.Layer, li int, slot []int32, arenaUnits int, out int32) (L
 			return Layer{}, fmt.Errorf("plan: layer %d weight entry %d is non-integral (%v)", li, i, v)
 		}
 		vals[i] = iv
-		if iv != 1 {
-			unit = false
-		}
 	}
 	pl := Layer{
 		W:       &tensor.CSR{Rows: w.Rows, Cols: arenaUnits, RowPtr: w.RowPtr, Col: cols, Val: w.Val},
 		WInt:    &tensor.Int32CSR{Rows: w.Rows, Cols: arenaUnits, RowPtr: w.RowPtr, Col: cols, Val: vals},
 		OutSlot: out,
 	}
-	if !l.Threshold {
-		pl.Kernel = KernelLinear
-	} else {
-		pl.Kernel = KernelThreshold
-		if unit {
-			pl.Kernel = KernelUnitThreshold
-		}
+	if l.Threshold {
 		pl.Bias = l.Bias
 		pl.Thresh = make([]int32, len(l.Bias))
 		for r, b := range l.Bias {

@@ -126,13 +126,10 @@ func TestPlanSemantics(t *testing.T) {
 						isum += pl.WInt.Val[q] * arena[pl.WInt.Col[q]]
 					}
 					var bit int32
-					switch pl.Kernel {
-					case KernelLinear:
+					if pl.Linear() {
 						bit = isum
-					default:
-						if isum > pl.Thresh[r] {
-							bit = 1
-						}
+					} else if isum > pl.Thresh[r] {
+						bit = 1
 					}
 					arena[pl.OutSlot+int32(r)] = bit
 					if float32(bit) != units[int(seg)+r] {
@@ -164,7 +161,7 @@ func TestPlanSemantics(t *testing.T) {
 func TestLintCatchesCorruption(t *testing.T) {
 	firstThresh := func(p *Plan) int {
 		for li := range p.Layers {
-			if p.Layers[li].Kernel != KernelLinear {
+			if !p.Layers[li].Linear() {
 				return li
 			}
 		}
@@ -183,13 +180,30 @@ func TestLintCatchesCorruption(t *testing.T) {
 			p.Layers[len(p.Layers)-1].OutSlot = int32(p.ArenaUnits)
 			return true
 		}},
-		{"kernel-flip", "EX002", func(p *Plan) bool {
+		{"threshold-dropped", "EX002", func(p *Plan) bool {
 			li := firstThresh(p)
 			if li < 0 {
 				return false
 			}
-			p.Layers[li].Kernel = KernelLinear
+			p.Layers[li].Thresh = nil
 			return true
+		}},
+		{"bias-dropped", "EX002", func(p *Plan) bool {
+			li := firstThresh(p)
+			if li < 0 {
+				return false
+			}
+			p.Layers[li].Bias = nil
+			return true
+		}},
+		{"linear-with-threshold", "EX002", func(p *Plan) bool {
+			for li := range p.Layers {
+				if l := &p.Layers[li]; l.Linear() {
+					l.Thresh = make([]int32, l.W.Rows)
+					return true
+				}
+			}
+			return false
 		}},
 		{"overlap-pi-block", "EX003", func(p *Plan) bool {
 			p.Layers[len(p.Layers)-1].OutSlot = 0

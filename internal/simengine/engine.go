@@ -32,31 +32,18 @@ import (
 )
 
 // Precision selects the execution substrate of the forward pass.
-type Precision int
+type Precision = backend.Kind
 
 // Precisions.
 const (
 	// Float32 runs float32 kernels, the paper's baseline arithmetic.
-	Float32 Precision = iota
+	Float32 = backend.Float32
 	// Int32 runs exact integer kernels.
-	Int32
+	Int32 = backend.Int32
 	// BitPacked packs 64 stimulus lanes per uint64 word and evaluates
 	// thresholds with bit-sliced boolean arithmetic.
-	BitPacked
+	BitPacked = backend.BitPacked
 )
-
-// String names the precision.
-func (p Precision) String() string {
-	switch p {
-	case Float32:
-		return "float32"
-	case Int32:
-		return "int32"
-	case BitPacked:
-		return "bitpacked"
-	}
-	return fmt.Sprintf("precision(%d)", int(p))
-}
 
 // ErrWidePort is wrapped by GetOutput when a port is wider than the 64
 // bits a uint64 lane can carry; read such ports with GetOutputBits.
@@ -118,7 +105,7 @@ type Overlay interface {
 type Engine struct {
 	model    *nn.Model
 	plan     *plan.Plan
-	be       backend.Backend
+	be       *backend.Backend
 	pool     *backend.Pool
 	batch    int
 	workers  int
@@ -145,17 +132,6 @@ func New(model *nn.Model, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	var kind backend.Kind
-	switch opts.Precision {
-	case Float32:
-		kind = backend.Float32
-	case Int32:
-		kind = backend.Int32
-	case BitPacked:
-		kind = backend.BitPacked
-	default:
-		return nil, fmt.Errorf("simengine: unknown precision %d", opts.Precision)
-	}
 	p, err := plan.CompileOpts(model, plan.Options{
 		DisableArenaReuse: opts.KeepAllActivations,
 		Activity:          opts.Activity,
@@ -165,7 +141,7 @@ func New(model *nn.Model, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	pool := backend.NewPool(opts.Workers)
-	be, err := backend.New(kind, p, opts.Batch, pool, opts.Trace)
+	be, err := backend.New(opts.Precision, p, opts.Batch, pool, opts.Trace)
 	if err != nil {
 		pool.Close()
 		return nil, err
@@ -281,13 +257,17 @@ func (e *Engine) SetInput(name string, values []uint64) error {
 	return nil
 }
 
-// SetInputUniform loads the same value into all lanes.
+// SetInputUniform loads the same value into all lanes: one row write
+// per port bit. Bits beyond 64 read as zero.
 func (e *Engine) SetInputUniform(name string, value uint64) error {
-	vals := make([]uint64, e.batch)
-	for i := range vals {
-		vals[i] = value
+	pm := e.model.FindInput(name)
+	if pm == nil {
+		return fmt.Errorf("simengine: no input port %q", name)
 	}
-	return e.SetInput(name, vals)
+	for i, unit := range pm.Units {
+		e.be.SetUniform(e.plan.Slot[unit], i < 64 && value>>uint(i)&1 == 1)
+	}
+	return nil
 }
 
 // SetInputBits loads the full width of an input port for one batch lane

@@ -230,6 +230,67 @@ func TestUnknownPorts(t *testing.T) {
 	}
 }
 
+// SetInputUniform must leave exactly the state SetInput of a replicated
+// value leaves, on every backend, including the partial last packed
+// word of batch 67 and the zeroed bits beyond 64 of a wide port.
+func TestSetInputUniformMatchesSetInput(t *testing.T) {
+	src := `
+module widein(input clk, input [71:0] a, input [4:0] b, output [71:0] y);
+  reg [71:0] r;
+  always @(posedge clk) r <= a ^ {67'd0, b};
+  assign y = r;
+endmodule`
+	_, model, _ := buildModel(t, src, "widein", 4)
+	const batch = 67
+	ones := make([]bool, 72)
+	for i := range ones {
+		ones[i] = true
+	}
+	for _, prec := range []Precision{Float32, Int32, BitPacked} {
+		uni, err := New(model, Options{Batch: batch, Precision: prec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := New(model, Options{Batch: batch, Precision: prec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{0, 0x15, 0xDEADBEEFCAFEF00D, ^uint64(0)} {
+			for _, in := range model.Inputs {
+				// Dirty every lane first so stale bits would show.
+				for lane := 0; lane < batch; lane++ {
+					if err := uni.SetInputBits(in.Name, lane, ones); err != nil {
+						t.Fatal(err)
+					}
+				}
+				vals := make([]uint64, batch)
+				for i := range vals {
+					vals[i] = v
+				}
+				if err := uni.SetInputUniform(in.Name, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := rep.SetInput(in.Name, vals); err != nil {
+					t.Fatal(err)
+				}
+				for i, u := range in.Units {
+					for lane := 0; lane < batch; lane++ {
+						if got, want := uni.PeekUnit(u, lane), rep.PeekUnit(u, lane); got != want {
+							t.Fatalf("%v %s=%#x bit %d lane %d: uniform %v, replicated %v",
+								prec, in.Name, v, i, lane, got, want)
+						}
+					}
+				}
+			}
+		}
+		if err := uni.SetInputUniform("ghost", 1); err == nil {
+			t.Errorf("%v: unknown input accepted", prec)
+		}
+		uni.Close()
+		rep.Close()
+	}
+}
+
 func TestThroughputMetric(t *testing.T) {
 	if Throughput(1000, 10, 4, 0) != 0 {
 		t.Error("zero elapsed should yield 0")

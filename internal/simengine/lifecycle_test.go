@@ -63,8 +63,7 @@ func TestEngineLifecycleWithTrace(t *testing.T) {
 				t.Errorf("layer spans = %d, want %d", layers, 6*len(eng.Plan().Layers))
 			}
 			if tr.Counter("exec.dispatch.threshold").Value()+
-				tr.Counter("exec.dispatch.linear").Value()+
-				tr.Counter("exec.dispatch.unit_threshold").Value() != int64(layers) {
+				tr.Counter("exec.dispatch.linear").Value() != int64(layers) {
 				t.Error("dispatch counters must sum to the layer span count")
 			}
 
