@@ -16,6 +16,7 @@ import (
 
 	"c2nn/internal/bench"
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/gatesim"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/nn"
@@ -37,7 +38,7 @@ func getCompiled(b *testing.B, name string, l int) *bench.CompileResult {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := bench.Compile(c, l, true)
+	r, err := bench.Compile(c, compile.Options{L: l})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func BenchmarkTable1Generation(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.Compile(c, l, true); err != nil {
+				if _, err := bench.Compile(c, compile.Options{L: l}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,6 +27,8 @@
 //	internal/simengine  batched execution engine (facade over plan + backend)
 //	internal/obs        observability: spans, metrics, Chrome-trace export
 //	internal/circuits   the six Table I benchmark designs
+//	internal/compile    the one compile driver: walks the Fig. 1 stages
+//	                    for every caller, and the "which circuit" selector
 //	internal/bench      experiment harness (Table I, Fig. 4, Fig. 6, ablations)
 //	internal/vcd        VCD waveform writer
 //	internal/testbench  stimulus-script format and runner
@@ -40,18 +42,16 @@ import (
 	"fmt"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/equiv"
 	"c2nn/internal/fault"
 	"c2nn/internal/gatesim"
 	"c2nn/internal/irlint"
 	"c2nn/internal/irlint/diag"
-	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
 
 // Re-exported core types.
@@ -135,92 +135,69 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-func (o Options) lintOptions() irlint.Options {
-	return irlint.Options{
+// source selects a built-in circuit; an explicit Options.Top overrides
+// the circuit's own top module.
+func (o Options) source(name string) (compile.Source, error) {
+	src, err := compile.Builtin(name)
+	if o.Top != "" {
+		src.Top = o.Top
+	}
+	return src, err
+}
+
+// driver translates the facade options into the compile driver's.
+func (o Options) driver() compile.Options {
+	return compile.Options{
 		L:            o.L,
 		FlowMap:      o.FlowMap,
 		CoalesceWide: o.CoalesceWide,
 		NoMerge:      o.NoMerge,
-	}
-}
-
-func (o *Options) fill() {
-	if o.L == 0 {
-		o.L = 7
+		Trace:        o.Trace,
 	}
 }
 
 // CompileVerilog compiles Verilog sources (path -> contents) into a
 // neural-network model.
 func CompileVerilog(sources map[string]string, opts Options) (*Model, error) {
-	opts.fill()
-	csp := opts.Trace.Begin("compile")
-	defer csp.End()
-	psp := opts.Trace.Begin("parse")
-	design, err := verilog.BuildDesign(sources, nil)
-	if err != nil {
-		return nil, err
-	}
-	psp.SetInt("modules", int64(len(design.Modules))).End()
-	esp := opts.Trace.Begin("elaborate")
-	nl, err := synth.Elaborate(design, synth.Options{
-		Top:      opts.Top,
-		Optimize: true,
-		Trace:    opts.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	esp.SetInt("gates", int64(nl.NumGates())).
-		SetInt("ffs", int64(nl.NumFFs())).
-		SetInt("nets", int64(nl.NumNets())).End()
-	return compileNetlist(nl, opts)
+	return compileSource(compile.Source{Files: sources, Top: opts.Top}, opts)
 }
 
 // CompileBenchmark compiles one of the built-in Table I circuits
 // ("AES", "SHA", "SPI", "UART", "DMA", "RISC-V interface").
 func CompileBenchmark(name string, opts Options) (*Model, error) {
-	c, err := circuits.ByName(name)
+	src, err := opts.source(name)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Top == "" {
-		opts.Top = c.Top
-	}
-	return CompileVerilog(c.Generate(), opts)
+	return compileSource(src, opts)
 }
 
-func compileNetlist(nl *netlist.Netlist, opts Options) (*Model, error) {
+func compileSource(src compile.Source, opts Options) (*Model, error) {
 	if opts.Check {
-		lsp := opts.Trace.Begin("lint")
-		model, report, err := irlint.Check(nl, opts.lintOptions())
+		model, report, err := irlint.Check(src, opts.driver(), false)
 		if err != nil {
 			return nil, err
 		}
-		lsp.SetInt("diagnostics", int64(len(report.Diags))).End()
 		if report.HasErrors() {
 			return nil, fmt.Errorf("lint: %s (%d errors)", report.FirstError(), report.Counts().Errors)
 		}
 		return model, nil
 	}
-	alg := lutmap.PriorityCuts
-	if opts.FlowMap {
-		alg = lutmap.FlowMap
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: opts.L, Algorithm: alg, Trace: opts.Trace})
+	res, err := compile.Run(src, opts.driver(), nil)
 	if err != nil {
 		return nil, err
 	}
-	if opts.CoalesceWide > 0 {
-		wsp := opts.Trace.Begin("coalesce")
-		g, err := lutmap.Coalesce(m.Graph, opts.CoalesceWide)
-		if err != nil {
-			return nil, err
-		}
-		wsp.SetInt("luts", int64(len(g.LUTs))).End()
-		m.Graph = g
+	return res.Model, nil
+}
+
+// runBuiltin compiles a built-in circuit at LUT size l, keeping every
+// IR of the compile.
+func runBuiltin(name string, l int) (*compile.Result, error) {
+	src, err := compile.Builtin(name)
+	if err != nil {
+		return nil, err
 	}
-	return nn.Build(nl, m, nn.BuildOptions{Merge: !opts.NoMerge, L: opts.L, BuildTrace: opts.Trace})
+	return compile.Run(src, compile.Options{L: l}, nil)
 }
 
 // NewEngine creates a batched simulation engine for a model.
@@ -236,23 +213,15 @@ func LoadModel(path string) (*Model, error) { return nn.LoadFile(path) }
 // (the paper's §IV-A correctness check). It returns the number of output
 // comparisons performed.
 func Verify(name string, l, cycles, batch int, seed int64) (int64, error) {
-	c, err := circuits.ByName(name)
+	cres, err := runBuiltin(name, l)
 	if err != nil {
 		return 0, err
 	}
-	nl, err := c.Elaborate()
+	prog, err := gatesim.Compile(cres.Netlist)
 	if err != nil {
 		return 0, err
 	}
-	model, err := compileNetlist(nl, Options{L: l})
-	if err != nil {
-		return 0, err
-	}
-	prog, err := gatesim.Compile(nl)
-	if err != nil {
-		return 0, err
-	}
-	res, err := simengine.Verify(model, prog, cycles, batch, seed)
+	res, err := simengine.Verify(cres.Model, prog, cycles, batch, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -272,27 +241,13 @@ type FaultReport = fault.Report
 // word simulates 63 faulty machines in parallel. See docs/FAULT.md and
 // the "c2nn fault" subcommand for script-driven grading.
 func FaultCoverage(name string, l, cycles, batch int, seed int64) (*FaultReport, error) {
-	c, err := circuits.ByName(name)
+	res, err := runBuiltin(name, l)
 	if err != nil {
 		return nil, err
 	}
-	nl, err := c.Elaborate()
-	if err != nil {
-		return nil, err
-	}
-	if l == 0 {
-		l = 7
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l})
-	if err != nil {
-		return nil, err
-	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: l})
-	if err != nil {
-		return nil, err
-	}
-	u := fault.Enumerate(m.Graph, len(model.Feedback))
-	return fault.Grade(model, m.Graph, u, nil, fault.Config{
+	g := res.Mapping.Graph
+	u := fault.Enumerate(g, len(res.Model.Feedback))
+	return fault.Grade(res.Model, g, u, nil, fault.Config{
 		Precision:    BitPacked,
 		Batch:        batch,
 		RandomCycles: cycles,
@@ -309,8 +264,7 @@ func FaultCoverage(name string, l, cycles, batch int, seed int64) (*FaultReport,
 // failed outright (parse or elaboration failure), distinct from the
 // report carrying diagnostics.
 func LintVerilog(sources map[string]string, order []string, opts Options) (*LintReport, error) {
-	opts.fill()
-	_, report, err := irlint.CheckSources(sources, order, opts.Top, opts.lintOptions())
+	_, report, err := irlint.Check(compile.Source{Files: sources, Order: order, Top: opts.Top}, opts.driver(), false)
 	return report, err
 }
 
@@ -318,15 +272,12 @@ func LintVerilog(sources map[string]string, order []string, opts Options) (*Lint
 // built-in Table I circuits, starting from its generated Verilog
 // sources so the AST stage is covered too.
 func LintBenchmark(name string, opts Options) (*LintReport, error) {
-	opts.fill()
-	c, err := circuits.ByName(name)
+	src, err := opts.source(name)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Top == "" {
-		opts.Top = c.Top
-	}
-	return LintVerilog(c.Generate(), nil, opts)
+	_, report, err := irlint.Check(src, opts.driver(), false)
+	return report, err
 }
 
 // LintRules returns every registered lint rule, sorted by ID — the
@@ -339,27 +290,15 @@ func LintRules() []LintRule { return diag.Rules() }
 // chain) every LUT's truth table is proven equal to its polynomial and
 // threshold realisation. See docs/EQUIV.md.
 func ProveVerilog(sources map[string]string, copts Options, opts EquivOptions) (*EquivResult, error) {
-	copts.fill()
-	design, err := verilog.BuildDesign(sources, nil)
-	if err != nil {
-		return nil, err
-	}
-	nl, err := synth.Elaborate(design, synth.Options{Top: copts.Top, Optimize: true})
-	if err != nil {
-		return nil, err
-	}
-	return equiv.ProveNetlist(nl, copts.L, copts.FlowMap, copts.CoalesceWide, !copts.NoMerge, opts)
+	return equiv.ProveSource(compile.Source{Files: sources, Top: copts.Top}, copts.driver(), opts)
 }
 
 // ProveBenchmark runs the formal equivalence checker over one of the
 // built-in Table I circuits.
 func ProveBenchmark(name string, copts Options, opts EquivOptions) (*EquivResult, error) {
-	c, err := circuits.ByName(name)
+	src, err := copts.source(name)
 	if err != nil {
 		return nil, err
 	}
-	if copts.Top == "" {
-		copts.Top = c.Top
-	}
-	return ProveVerilog(c.Generate(), copts, opts)
+	return equiv.ProveSource(src, copts.driver(), opts)
 }

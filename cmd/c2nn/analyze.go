@@ -8,15 +8,10 @@ import (
 	"sort"
 	"strings"
 
-	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/analyze"
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/irlint/diag"
-	"c2nn/internal/lutmap"
-	"c2nn/internal/netlist"
-	"c2nn/internal/nn"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
 
 // clusterLine is one cluster's row in the -clusters breakdown.
@@ -72,54 +67,18 @@ func runAnalyze(args []string) error {
 		return err
 	}
 
-	type target struct {
-		name string
-		nl   func() (*netlist.Netlist, error)
+	targets, err := compile.Targets(*all, *circuit, fs.Args(), *topMod)
+	if err != nil {
+		return err
 	}
-	var targets []target
-	switch {
-	case *all:
-		for _, c := range circuits.All() {
-			c := c
-			targets = append(targets, target{name: c.Name, nl: c.Elaborate})
-		}
-	case *circuit != "":
-		c, err := circuits.ByName(*circuit)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, target{name: c.Name, nl: c.Elaborate})
-	case fs.NArg() > 0:
-		sources := make(map[string]string, fs.NArg())
-		var order []string
-		for _, f := range fs.Args() {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return err
-			}
-			sources[f] = string(data)
-			order = append(order, f)
-		}
-		targets = append(targets, target{
-			name: strings.Join(fs.Args(), " "),
-			nl: func() (*netlist.Netlist, error) {
-				design, err := verilog.BuildDesign(sources, order)
-				if err != nil {
-					return nil, err
-				}
-				return synth.Elaborate(design, synth.Options{Top: *topMod, Optimize: true})
-			},
-		})
-	default:
-		return fmt.Errorf("no input: pass Verilog files, -circuit or -all (see c2nn analyze -h)")
-	}
+	opts := compile.Options{L: *lutSize, FlowMap: *useFlowmap, NoMerge: *noMerge}
 
 	var reports []analyzeReport
 	failed := false
 	for _, t := range targets {
-		rep, err := analyzeTarget(t.name, t.nl, *lutSize, !*noMerge, *useFlowmap)
+		rep, err := analyzeTarget(t, opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
+			return fmt.Errorf("%s: %w", t.Name, err)
 		}
 		for _, d := range rep.Diags {
 			if d.Severity == diag.Error {
@@ -149,24 +108,13 @@ func runAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeTarget compiles one netlist to a plan and runs the analyzer.
-func analyzeTarget(name string, elab func() (*netlist.Netlist, error), lutSize int, merge, useFlowmap bool) (*analyzeReport, error) {
-	nl, err := elab()
+// analyzeTarget compiles one target to a plan and runs the analyzer.
+func analyzeTarget(src compile.Source, opts compile.Options) (*analyzeReport, error) {
+	cres, err := compile.Run(src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	alg := lutmap.PriorityCuts
-	if useFlowmap {
-		alg = lutmap.FlowMap
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: lutSize, Algorithm: alg})
-	if err != nil {
-		return nil, err
-	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: lutSize})
-	if err != nil {
-		return nil, err
-	}
+	model := cres.Model
 	p, err := plan.Compile(model)
 	if err != nil {
 		return nil, err
@@ -188,8 +136,8 @@ func analyzeTarget(name string, elab func() (*netlist.Netlist, error), lutSize i
 		})
 	}
 	return &analyzeReport{
-		Circuit:      name,
-		L:            lutSize,
+		Circuit:      src.Name,
+		L:            model.L,
 		Layers:       len(p.Layers),
 		TotalUnits:   model.Net.TotalUnits,
 		ArenaUnits:   p.ArenaUnits,

@@ -10,20 +10,14 @@ import (
 	"strings"
 	"sync"
 
-	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/equiv"
-	"c2nn/internal/netlist"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
 
 // equivJob is one (circuit, L) proof of the -all matrix.
 type equivJob struct {
-	name    string
-	sources map[string]string
-	order   []string
-	top     string
-	l       int
+	src compile.Source
+	l   int
 }
 
 // equivOutcome pairs a job with its certificate for ordered reporting.
@@ -86,38 +80,15 @@ func runEquiv(args []string) error {
 		eopts.SkipChain = true
 	}
 
+	targets, err := compile.Targets(*all, *circuit, fs.Args(), *top)
+	if err != nil {
+		return err
+	}
 	var jobs []equivJob
-	switch {
-	case *all:
-		for _, c := range circuits.All() {
-			for _, l := range ls {
-				jobs = append(jobs, equivJob{name: c.Name, sources: c.Generate(), top: c.Top, l: l})
-			}
-		}
-	case *circuit != "":
-		c, err := circuits.ByName(*circuit)
-		if err != nil {
-			return err
-		}
+	for _, t := range targets {
 		for _, l := range ls {
-			jobs = append(jobs, equivJob{name: c.Name, sources: c.Generate(), top: c.Top, l: l})
+			jobs = append(jobs, equivJob{src: t, l: l})
 		}
-	case fs.NArg() > 0:
-		sources := make(map[string]string, fs.NArg())
-		var order []string
-		for _, f := range fs.Args() {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return err
-			}
-			sources[f] = string(data)
-			order = append(order, f)
-		}
-		for _, l := range ls {
-			jobs = append(jobs, equivJob{name: strings.Join(fs.Args(), " "), sources: sources, order: order, top: *top, l: l})
-		}
-	default:
-		return fmt.Errorf("no input: pass Verilog files, -circuit or -all (see c2nn equiv -h)")
 	}
 
 	outcomes := make([]equivOutcome, len(jobs))
@@ -182,11 +153,11 @@ func runEquiv(args []string) error {
 	}
 
 	if *cexOut != "" && firstCex != nil {
-		nl, err := elaborateJob(firstCexJob)
+		res, err := compile.Run(firstCexJob.src, compile.Options{}, compile.StopAfter(compile.StageNetlist))
 		if err != nil {
 			return err
 		}
-		src, err := firstCex.Script(nl)
+		src, err := firstCex.Script(res.Netlist)
 		if err != nil {
 			return err
 		}
@@ -201,37 +172,19 @@ func runEquiv(args []string) error {
 	return nil
 }
 
-// proveOne elaborates and proves a single job, capturing failures as
+// proveOne compiles and proves a single job, capturing failures as
 // data so one broken proof doesn't hide the rest of the matrix.
 func proveOne(job equivJob, flowMap bool, eopts equiv.Options) equivOutcome {
-	oc := equivOutcome{Circuit: job.name, L: job.l}
-	nl, err := elaborateJob(job)
-	if err != nil {
-		oc.Error = err.Error()
-		return oc
-	}
+	oc := equivOutcome{Circuit: job.src.Name, L: job.l}
 	// The merged network build is minutes-scale at L=11 (a pipeline
 	// cost, not a checker cost); the chain proof is equally valid on
 	// the unmerged model, so large L proves against that.
-	merge := job.l <= 7
-	res, err := equiv.ProveNetlist(nl, job.l, flowMap, 0, merge, eopts)
+	copts := compile.Options{L: job.l, FlowMap: flowMap, NoMerge: job.l > 7}
+	res, err := equiv.ProveSource(job.src, copts, eopts)
 	if err != nil {
 		oc.Error = err.Error()
 		return oc
 	}
 	oc.Result = res
 	return oc
-}
-
-// elaborateJob builds the netlist of one job.
-func elaborateJob(job equivJob) (*netlist.Netlist, error) {
-	design, err := verilog.BuildDesign(job.sources, job.order)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", job.name, err)
-	}
-	nl, err := synth.Elaborate(design, synth.Options{Top: job.top, Optimize: true})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", job.name, err)
-	}
-	return nl, nil
 }

@@ -5,18 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 
-	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/backend"
 	"c2nn/internal/fault"
-	"c2nn/internal/lutmap"
-	"c2nn/internal/netlist"
-	"c2nn/internal/nn"
 	"c2nn/internal/obs"
-	"c2nn/internal/synth"
 	"c2nn/internal/testbench"
 )
 
@@ -67,10 +61,16 @@ func runFault(args []string) error {
 		*random = 256
 	}
 
-	model, g, err := faultTarget(*circuit, *top, *tbPath, *lutSize, *flowmap, fs.Args())
+	// Injection needs the model and the mapped graph it was built from.
+	src, err := target(*circuit, *tbPath, *top, fs.Args())
 	if err != nil {
 		return err
 	}
+	cres, err := compile.Run(src, compile.Options{L: *lutSize, FlowMap: *flowmap}, nil)
+	if err != nil {
+		return err
+	}
+	model, g := cres.Model, cres.Mapping.Graph
 
 	u := fault.Enumerate(g, len(model.Feedback))
 	if *limit > 0 {
@@ -129,74 +129,4 @@ func runFault(args []string) error {
 	}
 	_, err = fmt.Fprint(w, rep)
 	return err
-}
-
-// faultTarget compiles the circuit to grade, keeping the mapped graph
-// the model was built from (injection needs both). The circuit comes
-// from -circuit, Verilog files, or — as a convenience — the testbench
-// file name ("uart_smoke.tb" selects the UART benchmark).
-func faultTarget(circuit, top, tbPath string, lutSize int, useFlowmap bool, files []string) (*nn.Model, *lutmap.Graph, error) {
-	if circuit == "" && len(files) == 0 {
-		if tbPath == "" {
-			return nil, nil, fmt.Errorf("no input: pass Verilog files, -circuit or -tb (see c2nn fault -h)")
-		}
-		circuit = inferCircuit(tbPath)
-		if circuit == "" {
-			return nil, nil, fmt.Errorf("cannot infer a built-in circuit from %q; pass -circuit or Verilog files", tbPath)
-		}
-	}
-
-	alg := lutmap.PriorityCuts
-	if useFlowmap {
-		alg = lutmap.FlowMap
-	}
-	var nl *netlist.Netlist
-	switch {
-	case circuit != "":
-		c, err := circuits.ByName(circuit)
-		if err != nil {
-			return nil, nil, err
-		}
-		nl, err = c.Elaborate()
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		sources := make(map[string]string, len(files))
-		for _, f := range files {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return nil, nil, err
-			}
-			sources[f] = string(data)
-		}
-		var err error
-		nl, err = synth.ElaborateSource(top, sources)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: lutSize, Algorithm: alg})
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: lutSize})
-	if err != nil {
-		return nil, nil, err
-	}
-	return model, m.Graph, nil
-}
-
-// inferCircuit matches a testbench file name against the built-in
-// circuit names, case-insensitively: "uart_smoke.tb" → "UART".
-func inferCircuit(tbPath string) string {
-	base := strings.ToLower(filepath.Base(tbPath))
-	for _, c := range circuits.All() {
-		key := strings.ToLower(strings.Fields(c.Name)[0])
-		if strings.HasPrefix(base, key) {
-			return c.Name
-		}
-	}
-	return ""
 }

@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,72 +54,48 @@ import (
 	"time"
 
 	"c2nn/internal/aig"
-	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/irlint"
 	"c2nn/internal/irlint/diag"
-	"c2nn/internal/lutmap"
-	"c2nn/internal/netlist"
-	"c2nn/internal/nn"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
-
-// lintStage folds one stage's diagnostics into the running -check
-// report, printing warnings and infos as they appear; Error-severity
-// diagnostics abort compilation at the stage boundary.
-func lintStage(total, stage *diag.Report) error {
-	total.Add(stage.Diags...)
-	if stage.HasErrors() {
-		stage.Sort()
-		fmt.Fprint(os.Stderr, stage)
-		c := stage.Counts()
-		return fmt.Errorf("check: %d error diagnostics at the %s stage boundary",
-			c.Errors, stage.Diags[0].Stage)
-	}
-	for _, d := range stage.Diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	return nil
-}
 
 // printLintSummary prints the -check diagnostic counts per stage (the
 // -stats companion line for the verifier).
 func printLintSummary(report *diag.Report) {
 	byStage := report.StageCounts()
-	stages := make([]string, 0, len(byStage))
-	for s := range byStage {
-		stages = append(stages, string(s))
-	}
-	sort.Strings(stages)
 	total := report.Counts()
 	fmt.Printf("lint: %d errors, %d warnings, %d infos", total.Errors, total.Warnings, total.Infos)
-	for _, s := range stages {
-		c := byStage[diag.Stage(s)]
-		fmt.Printf("; %s %d/%d/%d", s, c.Errors, c.Warnings, c.Infos)
+	for _, s := range diag.Stages() {
+		if c, ok := byStage[s]; ok {
+			fmt.Printf("; %s %d/%d/%d", s, c.Errors, c.Warnings, c.Infos)
+		}
 	}
 	fmt.Println()
 }
 
-// writeAIG lowers the flip-flop-cut combinational core to an AIG and
-// writes it in AIGER format (ASCII for .aag paths, binary otherwise).
-func writeAIG(nl *netlist.Netlist, path string) error {
-	g, lits, err := aig.FromNetlist(nl)
-	if err != nil {
-		return err
-	}
-	outs := make([]aig.Lit, 0, len(nl.CombOutputs()))
-	for _, net := range nl.CombOutputs() {
-		outs = append(outs, lits[net])
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// writeAIG writes the AIG of the combinational core in AIGER format
+// (ASCII for .aag paths, binary otherwise).
+func writeAIG(g *aig.AIG, outs []aig.Lit, path string) error {
+	write := g.WriteAIGBinary
 	if strings.HasSuffix(path, ".aag") {
-		return g.WriteAAG(f, outs)
+		write = g.WriteAAG
 	}
-	return g.WriteAIGBinary(f, outs)
+	return writeFileWith(path, func(w io.Writer) error { return write(w, outs) })
+}
+
+// target resolves the single-target selector shared by the
+// subcommands: -circuit name, Verilog files, or — as a convenience — a
+// testbench whose file name starts with a built-in circuit's
+// ("uart_smoke.tb" selects UART).
+func target(circuit, tbPath, top string, files []string) (compile.Source, error) {
+	if circuit == "" && len(files) == 0 && tbPath != "" {
+		return compile.ForTestbench(tbPath)
+	}
+	ts, err := compile.Targets(false, circuit, files, top)
+	if err != nil {
+		return compile.Source{}, err
+	}
+	return ts[0], nil
 }
 
 // commands maps each subcommand to its implementation; a first
@@ -173,7 +150,12 @@ func runCompile(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return compile(*lutSize, *top, *out, *circuit, !*noMerge, *flowmap, *stats, *check, *aigOut, fs.Args())
+	src, err := target(*circuit, "", *top, fs.Args())
+	if err != nil {
+		return err
+	}
+	opts := compile.Options{L: *lutSize, FlowMap: *flowmap, NoMerge: *noMerge}
+	return compileTo(src, opts, *out, *stats, *check, *aigOut)
 }
 
 // runLint implements the "c2nn lint" subcommand: it runs the
@@ -208,41 +190,11 @@ func runLint(args []string) error {
 		return nil
 	}
 
-	type target struct {
-		name    string
-		sources map[string]string
-		order   []string
-		top     string
+	targets, err := compile.Targets(*all, *circuit, fs.Args(), *top)
+	if err != nil {
+		return err
 	}
-	var targets []target
-	switch {
-	case *all:
-		for _, c := range circuits.All() {
-			targets = append(targets, target{name: c.Name, sources: c.Generate(), top: c.Top})
-		}
-	case *circuit != "":
-		c, err := circuits.ByName(*circuit)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, target{name: c.Name, sources: c.Generate(), top: c.Top})
-	case fs.NArg() > 0:
-		sources := make(map[string]string, fs.NArg())
-		var order []string
-		for _, f := range fs.Args() {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return err
-			}
-			sources[f] = string(data)
-			order = append(order, f)
-		}
-		targets = append(targets, target{name: strings.Join(fs.Args(), " "), sources: sources, order: order, top: *top})
-	default:
-		return fmt.Errorf("no input: pass Verilog files, -circuit or -all (see c2nn lint -h)")
-	}
-
-	opts := irlint.Options{L: *lutSize, FlowMap: *flowmap, NoEquiv: *noEquiv}
+	opts := compile.Options{L: *lutSize, FlowMap: *flowmap}
 	type result struct {
 		Circuit string          `json:"circuit"`
 		Report  json.RawMessage `json:"report"`
@@ -250,9 +202,9 @@ func runLint(args []string) error {
 	var results []result
 	failed := false
 	for _, t := range targets {
-		_, report, err := irlint.CheckSources(t.sources, t.order, t.top, opts)
+		_, report, err := irlint.Check(t, opts, *noEquiv)
 		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
+			return fmt.Errorf("%s: %w", t.Name, err)
 		}
 		if report.HasErrors() {
 			failed = true
@@ -262,11 +214,11 @@ func runLint(args []string) error {
 			if err := report.WriteJSON(&buf); err != nil {
 				return err
 			}
-			results = append(results, result{Circuit: t.name, Report: buf.Bytes()})
+			results = append(results, result{Circuit: t.Name, Report: buf.Bytes()})
 			continue
 		}
 		c := report.Counts()
-		fmt.Printf("%s (L=%d): %d errors, %d warnings, %d infos\n", t.name, *lutSize, c.Errors, c.Warnings, c.Infos)
+		fmt.Printf("%s (L=%d): %d errors, %d warnings, %d infos\n", t.Name, *lutSize, c.Errors, c.Warnings, c.Infos)
 		for _, d := range report.Diags {
 			fmt.Printf("  %s\n", d)
 		}
@@ -288,119 +240,61 @@ func runLint(args []string) error {
 	return nil
 }
 
-func compile(lutSize int, top, out, circuit string, merge, useFlowmap, stats, check bool, aigOut string, files []string) error {
-	start := time.Now()
-	report := &diag.Report{}
-
-	var nl *netlist.Netlist
-	switch {
-	case circuit != "":
-		c, err := circuits.ByName(circuit)
-		if err != nil {
-			return err
-		}
-		nl, err = c.Elaborate()
-		if err != nil {
-			return err
-		}
-	case len(files) > 0:
-		sources := make(map[string]string, len(files))
-		var order []string
-		for _, f := range files {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return err
-			}
-			sources[f] = string(data)
-			order = append(order, f)
-		}
-		design, err := verilog.BuildDesign(sources, order)
-		if err != nil {
-			return err
-		}
-		if check {
-			if err := lintStage(report, irlint.Design(design)); err != nil {
-				return err
-			}
-		}
-		nl, err = synth.Elaborate(design, synth.Options{Top: top, Optimize: true})
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("no input: pass Verilog files or -circuit (see -h)")
-	}
-
-	if check {
-		if err := lintStage(report, irlint.Netlist(nl)); err != nil {
-			return err
-		}
-	}
-	if stats {
-		fmt.Print(nl.ComputeStats())
-	}
-
-	if aigOut != "" {
-		if err := writeAIG(nl, aigOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote AIGER to %s\n", aigOut)
-	}
-
-	if check {
-		g, lits, err := aig.FromNetlist(nl)
-		if err != nil {
-			return err
-		}
-		outs := make([]aig.Lit, 0, len(nl.CombOutputs()))
-		for _, net := range nl.CombOutputs() {
-			outs = append(outs, lits[net])
-		}
-		if err := lintStage(report, irlint.AIG(g, outs)); err != nil {
-			return err
-		}
-	}
-
-	alg := lutmap.PriorityCuts
-	if useFlowmap {
-		alg = lutmap.FlowMap
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: lutSize, Algorithm: alg})
-	if err != nil {
-		return err
-	}
-	if check {
-		if err := lintStage(report, irlint.Graph(m.Graph)); err != nil {
-			return err
-		}
-		if err := lintStage(report, irlint.Polys(m.Graph)); err != nil {
-			return err
-		}
-	}
-	if stats {
-		ms := m.Graph.ComputeStats()
+// printStageStats prints the -stats line of the IR a stage produced.
+func printStageStats(st compile.Stage, r *compile.Result) {
+	switch st {
+	case compile.StageNetlist:
+		fmt.Print(r.Netlist.ComputeStats())
+	case compile.StageMapping:
+		ms := r.Mapping.Graph.ComputeStats()
 		fmt.Printf("mapping: %d LUTs, depth %d, mean arity %.2f (K=%d)\n",
 			ms.LUTs, ms.Depth, ms.MeanIns, ms.K)
-	}
-
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: lutSize})
-	if err != nil {
-		return err
-	}
-	if check {
-		if err := lintStage(report, irlint.Model(model)); err != nil {
-			return err
-		}
-	}
-	if stats {
-		ns := model.Net.ComputeStats()
+	case compile.StageModel:
+		ns := r.Model.Net.ComputeStats()
 		fmt.Printf("network: %d layers, %d neurons, %d connections, mean sparsity %.5f\n",
 			ns.Layers, ns.Neurons, ns.Connections, ns.MeanSparsity)
 	}
-	if check && stats {
-		printLintSummary(report)
+}
+
+// compileTo runs the driver on src and writes the model file. -check
+// observes the compile with the same irlint.Checker as "c2nn lint";
+// -stats and -aig read the IRs at their stage boundaries.
+func compileTo(src compile.Source, opts compile.Options, out string, stats, check bool, aigOut string) error {
+	start := time.Now()
+	chk := &irlint.Checker{}
+	res, err := compile.Run(src, opts, func(st compile.Stage, r *compile.Result) error {
+		if check {
+			if err := chk.After(st, r); err != nil {
+				return err
+			}
+		}
+		if st == compile.StageAIG && aigOut != "" {
+			if err := writeAIG(r.AIG, r.AIGOuts, aigOut); err != nil {
+				return err
+			}
+			fmt.Printf("wrote AIGER to %s\n", aigOut)
+		}
+		if stats {
+			printStageStats(st, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if check {
+		chk.Report.Sort()
+		fmt.Fprint(os.Stderr, &chk.Report)
+		if stats {
+			printLintSummary(&chk.Report)
+		}
+		if chk.Report.HasErrors() {
+			return fmt.Errorf("check: %d error diagnostics; first: %s",
+				chk.Report.Counts().Errors, chk.Report.FirstError())
+		}
 	}
 
+	nl := res.Netlist
 	if out == "" {
 		out = nl.Name + ".c2nn"
 	}
@@ -409,12 +303,12 @@ func compile(lutSize int, top, out, circuit string, merge, useFlowmap, stats, ch
 			return err
 		}
 	}
-	n, err := model.SaveFile(out)
+	n, err := res.Model.SaveFile(out)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("compiled %q (%d gates) at L=%d in %s -> %s (%.2f MB)\n",
-		nl.Name, nl.GateCount(), lutSize, time.Since(start).Round(time.Millisecond),
+		nl.Name, nl.GateCount(), res.Model.L, time.Since(start).Round(time.Millisecond),
 		out, float64(n)/1e6)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"c2nn"
-	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/analyze"
 	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
@@ -51,17 +51,7 @@ func runProfile(args []string) error {
 		return err
 	}
 
-	name := *circuit
-	if name == "" {
-		if *tbPath == "" {
-			return fmt.Errorf("no input: pass -circuit or -tb (see c2nn profile -h)")
-		}
-		name = inferCircuit(*tbPath)
-		if name == "" {
-			return fmt.Errorf("cannot infer a built-in circuit from %q; pass -circuit", *tbPath)
-		}
-	}
-	c, err := resolveCircuit(name)
+	src, err := target(*circuit, *tbPath, "", nil)
 	if err != nil {
 		return err
 	}
@@ -82,10 +72,11 @@ func runProfile(args []string) error {
 	}
 
 	tr := obs.NewWithLimit(*maxSpans)
-	model, err := c2nn.CompileBenchmark(c.Name, c2nn.Options{L: *lutSize, Trace: tr})
+	cres, err := compile.Run(src, compile.Options{L: *lutSize, Trace: tr}, nil)
 	if err != nil {
 		return err
 	}
+	model := cres.Model
 	eng, err := c2nn.NewEngine(model, c2nn.EngineOptions{
 		Batch:     *batch,
 		Workers:   *workers,
@@ -115,7 +106,7 @@ func runProfile(args []string) error {
 	}
 
 	rsp := tr.Begin("run").
-		SetStr("circuit", c.Name).
+		SetStr("circuit", src.Name).
 		SetStr("backend", prec.String()).
 		SetInt("batch", int64(*batch))
 	driven := 0
@@ -188,22 +179,9 @@ func runProfile(args []string) error {
 	}
 	gcs := simengine.Throughput(model.GateCount, *cycles, *batch, elapsed)
 	fmt.Printf("\n%s (L=%d, %s): %d cycles x %d lanes in %s = %.3g gates·cycles/s\n",
-		c.Name, *lutSize, prec, driven, *batch,
+		src.Name, *lutSize, prec, driven, *batch,
 		elapsed.Round(time.Millisecond), gcs)
 	return nil
-}
-
-// resolveCircuit matches a benchmark name case-insensitively, also
-// accepting the first word of multi-word names ("risc-v" selects
-// "RISC-V interface").
-func resolveCircuit(name string) (circuits.Circuit, error) {
-	for _, c := range circuits.All() {
-		if strings.EqualFold(c.Name, name) ||
-			strings.EqualFold(strings.Fields(c.Name)[0], name) {
-			return c, nil
-		}
-	}
-	return circuits.ByName(name)
 }
 
 // writeFileWith creates path and streams fn into it.

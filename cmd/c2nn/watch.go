@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"c2nn"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
 	"c2nn/internal/testbench"
@@ -58,17 +59,7 @@ func runWatch(args []string) error {
 		return err
 	}
 
-	name := *circuit
-	if name == "" {
-		if *tbPath == "" {
-			return fmt.Errorf("no input: pass -circuit or -tb (see c2nn watch -h)")
-		}
-		name = inferCircuit(*tbPath)
-		if name == "" {
-			return fmt.Errorf("cannot infer a built-in circuit from %q; pass -circuit", *tbPath)
-		}
-	}
-	c, err := resolveCircuit(name)
+	src, err := target(*circuit, *tbPath, "", nil)
 	if err != nil {
 		return err
 	}
@@ -91,10 +82,11 @@ func runWatch(args []string) error {
 	tr := obs.New()
 	rec := obs.NewFlightRecorder(*flightN)
 	tr.AttachFlightRecorder(rec)
-	model, err := c2nn.CompileBenchmark(c.Name, c2nn.Options{L: *lutSize, Trace: tr})
+	cres, err := compile.Run(src, compile.Options{L: *lutSize, Trace: tr}, nil)
 	if err != nil {
 		return err
 	}
+	model := cres.Model
 	eng, err := c2nn.NewEngine(model, c2nn.EngineOptions{
 		Batch:     *batch,
 		Workers:   *workers,
@@ -164,14 +156,14 @@ func runWatch(args []string) error {
 		case <-quit:
 			dumpFlight("SIGQUIT")
 		case <-render.C:
-			printWatchTable(eng, tr, c.Name, prec.String(), replays, *plain, *quiet)
+			printWatchTable(eng, tr, src.Name, prec.String(), replays, *plain, *quiet)
 		default:
 		}
 		return stopped
 	}
 
 	fmt.Fprintf(os.Stderr, "watch: %s (L=%d, %s, batch %d) — ctrl-c stops, SIGQUIT dumps the flight recorder\n",
-		c.Name, *lutSize, prec, *batch)
+		src.Name, *lutSize, prec, *batch)
 
 	rng := rand.New(rand.NewSource(*seed))
 	vals := make([]uint64, *batch)
@@ -227,7 +219,7 @@ func runWatch(args []string) error {
 	}
 
 	sampler.TakeSample()
-	printWatchTable(eng, tr, c.Name, prec.String(), replays, true, *quiet)
+	printWatchTable(eng, tr, src.Name, prec.String(), replays, true, *quiet)
 	dumpFlight("exit")
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 
 	"c2nn/internal/bench"
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/simengine"
 )
 
@@ -29,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("compiling AES-128 (%d Verilog LoC) at L=%d…\n", c.LinesOfCode(), *lutSize)
-	res, err := bench.Compile(c, *lutSize, true)
+	res, err := bench.Compile(c, compile.Options{L: *lutSize})
 	if err != nil {
 		log.Fatal(err)
 	}

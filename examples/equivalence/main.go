@@ -14,6 +14,7 @@ import (
 
 	"c2nn/internal/bench"
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/simengine"
 )
 
@@ -27,7 +28,7 @@ func main() {
 	for _, c := range circuits.All() {
 		for _, l := range lutSizes {
 			start := time.Now()
-			res, err := bench.Compile(c, l, true)
+			res, err := bench.Compile(c, compile.Options{L: l})
 			if err != nil {
 				log.Fatalf("%s at L=%d: %v", c.Name, l, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/nn"
 	"c2nn/internal/simengine"
@@ -59,7 +60,7 @@ func RunAblations(cfg AblationConfig, progress io.Writer) ([]AblationRow, error)
 	}
 
 	// --- Merged vs unmerged (Fig. 5 / §III-D) --------------------------
-	merged, err := Compile(c, cfg.L, true)
+	merged, err := Compile(c, compile.Options{L: cfg.L})
 	if err != nil {
 		return nil, err
 	}

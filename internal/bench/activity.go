@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/simengine"
 	"c2nn/internal/testbench"
 )
@@ -95,7 +96,7 @@ func RunActivity(names []string, cfg ActivityConfig, progress io.Writer) ([]Acti
 			if err != nil {
 				return nil, err
 			}
-			res, err := Compile(c, l, true)
+			res, err := Compile(c, compile.Options{L: l})
 			if err != nil {
 				return nil, err
 			}

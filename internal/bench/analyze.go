@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/analyze"
 	"c2nn/internal/irlint/diag"
 	"c2nn/internal/obs"
@@ -136,7 +137,7 @@ func RunAnalyze(names []string, cfg AnalyzeConfig, progress io.Writer) ([]Analyz
 // analyzeOne builds one AnalyzeRow: compile, analyze, measure,
 // correlate, and (when a smoke testbench exists) probe activity.
 func analyzeOne(c circuits.Circuit, l int, cfg AnalyzeConfig) (*AnalyzeRow, error) {
-	res, err := CompileTraced(c, l, true, cfg.Trace)
+	res, err := Compile(c, compile.Options{L: l, Trace: cfg.Trace})
 	if err != nil {
 		return nil, err
 	}

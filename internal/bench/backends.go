@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
@@ -78,7 +79,7 @@ func RunBackends(names []string, cfg BackendsConfig, progress io.Writer) ([]Back
 	for _, c := range list {
 		for _, l := range cfg.Ls {
 			bsp := cfg.Trace.Begin(fmt.Sprintf("bench %s L=%d", c.Name, l))
-			res, err := CompileTraced(c, l, true, cfg.Trace)
+			res, err := Compile(c, compile.Options{L: l, Trace: cfg.Trace})
 			if err != nil {
 				return nil, err
 			}

@@ -11,81 +11,50 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/gatesim"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
 
 // CompileResult carries everything produced by one pipeline run.
 type CompileResult struct {
-	Circuit  circuits.Circuit
-	Netlist  *netlist.Netlist
-	Mapping  *lutmap.Mapping
-	Model    *nn.Model
-	Program  *gatesim.Program
-	L        int
-	GenTime  time.Duration // NN generation (compilation) time
-	SynthGen time.Duration // frontend share of GenTime (parse+elaborate)
+	Circuit circuits.Circuit
+	Netlist *netlist.Netlist
+	Mapping *lutmap.Mapping
+	Model   *nn.Model
+	Program *gatesim.Program
+	L       int
+	GenTime time.Duration // NN generation (compilation) time
 }
 
-// Compile runs the full pipeline (Fig. 1) on one circuit at one LUT
-// size. The reported generation time covers everything from Verilog
-// source to the stored-model-ready network, matching the "Generation
-// Time" column of Table I.
-func Compile(c circuits.Circuit, l int, merge bool) (*CompileResult, error) {
-	return CompileTraced(c, l, merge, nil)
-}
-
-// CompileTraced is Compile with an observability sink: every pipeline
-// stage records a span (parse, elaborate, aig, cuts, tables, poly,
-// network, …). A nil trace is Compile.
-func CompileTraced(c circuits.Circuit, l int, merge bool, tr *obs.Trace) (*CompileResult, error) {
+// Compile runs the full pipeline (Fig. 1) on one circuit through the
+// compile driver. The reported generation time covers everything from
+// Verilog source to the stored-model-ready network, matching the
+// "Generation Time" column of Table I.
+func Compile(c circuits.Circuit, opts compile.Options) (*CompileResult, error) {
 	start := time.Now()
-	csp := tr.Begin("compile").SetStr("circuit", c.Name).SetInt("l", int64(l))
-	psp := tr.Begin("parse")
-	design, err := verilog.BuildDesign(c.Generate(), nil)
+	res, err := compile.Run(compile.FromCircuit(c), opts, nil)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", c.Name, err)
+		return nil, fmt.Errorf("compile %s at L=%d: %w", c.Name, opts.L, err)
 	}
-	psp.SetInt("modules", int64(len(design.Modules))).End()
-	esp := tr.Begin("elaborate")
-	nl, err := synth.Elaborate(design, synth.Options{Top: c.Top, Optimize: true, Trace: tr})
-	if err != nil {
-		return nil, fmt.Errorf("elaborate %s: %w", c.Name, err)
-	}
-	esp.SetInt("gates", int64(nl.NumGates())).
-		SetInt("ffs", int64(nl.NumFFs())).
-		SetInt("nets", int64(nl.NumNets())).End()
-	synthDone := time.Now()
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l, Trace: tr})
-	if err != nil {
-		return nil, fmt.Errorf("map %s at L=%d: %w", c.Name, l, err)
-	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: l, BuildTrace: tr})
-	if err != nil {
-		return nil, fmt.Errorf("build NN for %s at L=%d: %w", c.Name, l, err)
-	}
-	csp.End()
 	genTime := time.Since(start)
 
-	prog, err := gatesim.Compile(nl)
+	prog, err := gatesim.Compile(res.Netlist)
 	if err != nil {
 		return nil, err
 	}
 	return &CompileResult{
-		Circuit:  c,
-		Netlist:  nl,
-		Mapping:  m,
-		Model:    model,
-		Program:  prog,
-		L:        l,
-		GenTime:  genTime,
-		SynthGen: synthDone.Sub(start),
+		Circuit: c,
+		Netlist: res.Netlist,
+		Mapping: res.Mapping,
+		Model:   res.Model,
+		Program: prog,
+		L:       res.Model.L,
+		GenTime: genTime,
 	}, nil
 }
 

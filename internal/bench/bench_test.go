@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/simengine"
 )
 
@@ -26,7 +27,7 @@ func TestCompilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compile(c, 4, true)
+	res, err := Compile(c, compile.Options{L: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestAllCircuitsEquivalent(t *testing.T) {
 			continue
 		}
 		for _, l := range []int{3, 6} {
-			res, err := Compile(c, l, true)
+			res, err := Compile(c, compile.Options{L: l})
 			if err != nil {
 				t.Fatalf("%s L=%d: %v", c.Name, l, err)
 			}

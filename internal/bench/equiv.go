@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/equiv"
 	"c2nn/internal/obs"
 )
@@ -75,16 +76,12 @@ func RunEquiv(names []string, cfg EquivConfig, progress io.Writer) ([]EquivRow, 
 	}
 	var rows []EquivRow
 	for _, c := range list {
-		nl, err := c.Elaborate()
-		if err != nil {
-			return nil, err
-		}
 		for _, l := range cfg.Ls {
 			logf("equiv: %s L=%d", c.Name, l)
 			start := time.Now()
 			// The merged network build is minutes-scale at L=11; the
 			// chain proof is equally valid on the unmerged model.
-			res, err := equiv.ProveNetlist(nl, l, false, 0, l <= 7, equiv.Options{Trace: cfg.Trace})
+			res, err := equiv.ProveSource(compile.FromCircuit(c), compile.Options{L: l, NoMerge: l > 7}, equiv.Options{Trace: cfg.Trace})
 			if err != nil {
 				return nil, fmt.Errorf("%s L=%d: %w", c.Name, l, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/fault"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
@@ -73,7 +74,7 @@ func RunFaults(names []string, cfg FaultsConfig, progress io.Writer) ([]FaultRow
 	var rows []FaultRow
 	for _, c := range list {
 		for _, l := range cfg.Ls {
-			res, err := CompileTraced(c, l, true, cfg.Trace)
+			res, err := Compile(c, compile.Options{L: l, Trace: cfg.Trace})
 			if err != nil {
 				return nil, err
 			}

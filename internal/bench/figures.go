@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/poly"
 	"c2nn/internal/truthtab"
 )
@@ -139,7 +140,7 @@ func RunFig6(cfg Fig6Config, progress io.Writer) ([]Fig6Row, error) {
 	}
 	var rows []Fig6Row
 	for l := cfg.MinL; l <= cfg.MaxL; l++ {
-		res, err := Compile(c, l, true)
+		res, err := Compile(c, compile.Options{L: l})
 		if err != nil {
 			return nil, err
 		}

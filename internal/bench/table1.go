@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
 )
@@ -78,7 +79,7 @@ func RunTable1(names []string, cfg Table1Config, progress io.Writer) ([]Table1Ro
 	for _, c := range list {
 		logf("[%s] elaborating…", c.Name)
 		// Baseline once per circuit (independent of L).
-		first, err := CompileTraced(c, cfg.Ls[0], true, cfg.Trace)
+		first, err := Compile(c, compile.Options{L: cfg.Ls[0], Trace: cfg.Trace})
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +90,7 @@ func RunTable1(names []string, cfg Table1Config, progress io.Writer) ([]Table1Ro
 		for _, l := range cfg.Ls {
 			res := first
 			if l != first.L {
-				res, err = CompileTraced(c, l, true, cfg.Trace)
+				res, err = Compile(c, compile.Options{L: l, Trace: cfg.Trace})
 				if err != nil {
 					return nil, err
 				}

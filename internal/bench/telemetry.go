@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
 )
@@ -115,7 +116,7 @@ func RunTelemetry(names []string, cfg TelemetryConfig, progress io.Writer) ([]Te
 
 	var rows []TelemetryRow
 	for _, c := range list {
-		res, err := Compile(c, cfg.L, true)
+		res, err := Compile(c, compile.Options{L: cfg.L})
 		if err != nil {
 			return nil, err
 		}

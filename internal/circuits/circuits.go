@@ -9,6 +9,7 @@ package circuits
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -40,15 +41,31 @@ func All() []Circuit {
 	return out
 }
 
-// ByName returns the named circuit.
+// ByName returns the named circuit. Matching is case-insensitive and
+// also accepts the first word of a multi-word name ("risc-v" selects
+// "RISC-V interface").
 func ByName(name string) (Circuit, error) {
 	for _, c := range registry {
-		if c.Name == name {
+		if strings.EqualFold(c.Name, name) || strings.EqualFold(c.firstWord(), name) {
 			return c, nil
 		}
 	}
 	return Circuit{}, fmt.Errorf("circuits: unknown circuit %q (have %s)", name, names())
 }
+
+// ForTestbench infers the circuit a testbench script drives from its
+// file name: "testbenches/uart_smoke.tb" selects UART.
+func ForTestbench(path string) (Circuit, error) {
+	base := strings.ToLower(filepath.Base(path))
+	for _, c := range All() {
+		if strings.HasPrefix(base, strings.ToLower(c.firstWord())) {
+			return c, nil
+		}
+	}
+	return Circuit{}, fmt.Errorf("circuits: cannot infer a built-in circuit from %q (have %s)", path, names())
+}
+
+func (c Circuit) firstWord() string { return strings.Fields(c.Name)[0] }
 
 func names() string {
 	var ns []string

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"c2nn/internal/aig"
+	"c2nn/internal/compile"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
@@ -102,7 +103,7 @@ func (r *Result) FirstCex() *Counterexample {
 
 // Prove runs the full equivalence check for a compiled pipeline: the
 // caller supplies every IR stage of one compile (as produced by
-// aig.FromNetlist, lutmap.MapNetlist and nn.Build on the same netlist)
+// compile.Run)
 // and receives the certificate. model may be nil when Options.SkipChain
 // is set.
 func Prove(nl *netlist.Netlist, ag *aig.AIG, aigOuts []aig.Lit, m *lutmap.Mapping, model *nn.Model, opts Options) (*Result, error) {
@@ -239,42 +240,23 @@ func VerifyPairing(nl *netlist.Netlist, ag *aig.AIG, aigOuts []aig.Lit, m *lutma
 	return errs
 }
 
-// ProveNetlist compiles the netlist through every stage itself and
-// proves the result — the convenience entry behind the facade and CLI.
-func ProveNetlist(nl *netlist.Netlist, l int, flowMap bool, coalesceWide int, merge bool, opts Options) (*Result, error) {
-	if l <= 0 {
-		l = 7
-	}
-	ag, lits, err := aig.FromNetlist(nl)
-	if err != nil {
-		return nil, fmt.Errorf("equiv: lowering to AIG: %w", err)
-	}
-	combOuts := nl.CombOutputs()
-	aigOuts := make([]aig.Lit, 0, len(combOuts))
-	for _, net := range combOuts {
-		aigOuts = append(aigOuts, lits[net])
-	}
-	alg := lutmap.PriorityCuts
-	if flowMap {
-		alg = lutmap.FlowMap
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l, Algorithm: alg})
-	if err != nil {
-		return nil, fmt.Errorf("equiv: mapping: %w", err)
-	}
-	if coalesceWide > 0 {
-		cg, err := lutmap.Coalesce(m.Graph, coalesceWide)
-		if err != nil {
-			return nil, fmt.Errorf("equiv: coalescing: %w", err)
+// ProveSource compiles src through the compile driver and proves the
+// stages of that one compile — the convenience entry behind the facade
+// and CLI. With Options.SkipChain the network is never built.
+func ProveSource(src compile.Source, copts compile.Options, opts Options) (*Result, error) {
+	var ag *aig.AIG
+	var aigOuts []aig.Lit
+	res, err := compile.Run(src, copts, func(st compile.Stage, r *compile.Result) error {
+		if st == compile.StageMapping {
+			ag, aigOuts = r.AIG, r.AIGOuts
+			if opts.SkipChain {
+				return compile.Stop
+			}
 		}
-		m.Graph = cg
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var model *nn.Model
-	if !opts.SkipChain {
-		model, err = nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: l})
-		if err != nil {
-			return nil, fmt.Errorf("equiv: building network: %w", err)
-		}
-	}
-	return Prove(nl, ag, aigOuts, m, model, opts)
+	return Prove(res.Netlist, ag, aigOuts, res.Mapping, res.Model, opts)
 }

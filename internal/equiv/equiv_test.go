@@ -5,49 +5,34 @@ import (
 
 	"c2nn/internal/aig"
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
 	"c2nn/internal/raceflag"
 )
 
-// compile lowers a circuit through every stage the prover consumes.
-func compile(t *testing.T, name string, l int) (*netlist.Netlist, *aig.AIG, []aig.Lit, *lutmap.Mapping) {
+// stages lowers a circuit through every stage the prover consumes.
+func stages(t *testing.T, name string, l int) (*netlist.Netlist, *aig.AIG, []aig.Lit, *lutmap.Mapping) {
 	t.Helper()
-	c, err := circuits.ByName(name)
+	src, err := compile.Builtin(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := c.Elaborate()
+	res, err := compile.Run(src, compile.Options{L: l}, compile.StopAfter(compile.StageMapping))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, lits, err := aig.FromNetlist(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var aigOuts []aig.Lit
-	for _, net := range nl.CombOutputs() {
-		aigOuts = append(aigOuts, lits[net])
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l, Algorithm: lutmap.PriorityCuts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nl, ag, aigOuts, m
+	return res.Netlist, res.AIG, res.AIGOuts, res.Mapping
 }
 
 // TestProveUART is the fast end-to-end check: every stage miter UNSAT,
 // every per-LUT chain row verified, no pair abandoned by the sweep.
 func TestProveUART(t *testing.T) {
-	c, err := circuits.ByName("UART")
+	src, err := compile.Builtin("UART")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ProveNetlist(nl, 4, false, 0, true, Options{})
+	res, err := ProveSource(src, compile.Options{L: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +81,8 @@ func TestProveMatrix(t *testing.T) {
 		t.Skip("SAT matrix is an order of magnitude slower under -race; the CI equivalence job covers it")
 	}
 	for _, c := range circuits.All() {
-		nl, err := c.Elaborate()
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, l := range []int{4, 7, 11} {
-			res, err := ProveNetlist(nl, l, false, 0, l <= 7, Options{})
+			res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: l, NoMerge: l > 7}, Options{})
 			if err != nil {
 				t.Fatalf("%s L=%d: %v", c.Name, l, err)
 			}
@@ -120,7 +101,7 @@ func TestProveMatrix(t *testing.T) {
 // TestSingleStage checks stage selection: only the requested miter is
 // built and the unused side is never encoded.
 func TestSingleStage(t *testing.T) {
-	nl, ag, aigOuts, m := compile(t, "SPI", 4)
+	nl, ag, aigOuts, m := stages(t, "SPI", 4)
 	res, err := Prove(nl, ag, aigOuts, m, nil, Options{
 		Stages:    []StagePair{StageNetlistAIG},
 		SkipChain: true,
@@ -145,7 +126,7 @@ func TestSingleStage(t *testing.T) {
 // TestPairingViolation corrupts the mapping's PI order and checks both
 // the hard error from Prove and the EQ006 diagnostics from LintPairing.
 func TestPairingViolation(t *testing.T) {
-	nl, ag, aigOuts, m := compile(t, "UART", 4)
+	nl, ag, aigOuts, m := stages(t, "UART", 4)
 	if len(m.PINets) < 2 {
 		t.Fatal("need at least two PIs")
 	}

@@ -141,7 +141,7 @@ func diverges(a, b *sideIR, numPIs, words int, seed int64) bool {
 // consistent with simulation (UNSAT is a proof; a diverging pattern
 // would refute it).
 func TestMutationDetection(t *testing.T) {
-	nl, ag, aigOuts, m := compile(t, "UART", 4)
+	nl, ag, aigOuts, m := stages(t, "UART", 4)
 	nlSide, err := netlistSide(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestMutationDetection(t *testing.T) {
 // compiled from the MUTANT graph must fail it at the diverging bit, and
 // the network compiled from the true graph must accept it again.
 func TestCexRoundTrip(t *testing.T) {
-	nl, ag, aigOuts, m := compile(t, "UART", 4)
+	nl, ag, aigOuts, m := stages(t, "UART", 4)
 	prog, err := gatesim.Compile(nl)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,9 @@
 //
 // The rule implementations live next to the IRs they inspect (each IR
 // package has a lint.go declaring its rules against the registry in
-// internal/irlint/diag); this package stitches them into per-stage
-// reports and a whole-pipeline Check that compiles a netlist to a
-// model, verifying every stage boundary on the way — the static
+// internal/irlint/diag); this package is the table saying which rules
+// run at which stage boundary of the compile driver (internal/compile),
+// and a Checker that observes a compile through it — the static
 // counterpart of the dynamic simengine.Verify equivalence check
 // (paper §IV-A).
 package irlint
@@ -18,17 +18,15 @@ import (
 	"fmt"
 
 	"c2nn/internal/aig"
+	"c2nn/internal/compile"
 	"c2nn/internal/equiv"
 	"c2nn/internal/exec/analyze"
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/fault"
 	"c2nn/internal/irlint/diag"
-	"c2nn/internal/lutmap"
-	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
+	"c2nn/internal/obs"
 	"c2nn/internal/poly"
-	"c2nn/internal/synth"
-	"c2nn/internal/verilog"
 )
 
 // PolyCheckMaxVars bounds the exhaustive polynomial re-evaluation: for
@@ -38,40 +36,13 @@ import (
 // LUT while covering every LUT the default L = 7 mapping produces.
 const PolyCheckMaxVars = 8
 
-// Design lints the parsed Verilog AST.
-func Design(d *verilog.Design) *diag.Report {
-	r := &diag.Report{}
-	r.Add(d.Lint()...)
-	return r
-}
-
-// Netlist lints the gate-level IR.
-func Netlist(nl *netlist.Netlist) *diag.Report {
-	r := &diag.Report{}
-	r.Add(nl.Lint()...)
-	return r
-}
-
-// AIG lints an and-inverter graph against its output literals.
-func AIG(g *aig.AIG, outputs []aig.Lit) *diag.Report {
-	r := &diag.Report{}
-	r.Add(g.Lint(outputs)...)
-	return r
-}
-
-// Graph lints the LUT computation graph.
-func Graph(g *lutmap.Graph) *diag.Report {
-	r := &diag.Report{}
-	r.Add(g.Lint()...)
-	return r
-}
-
-// Polys re-derives the multi-linear polynomial of every LUT with at
+// polys re-derives the multi-linear polynomial of every LUT with at
 // most PolyCheckMaxVars inputs, lints its structure and re-evaluates it
 // exhaustively against the truth table (rule PL004) — a per-node static
 // proof of the polynomial conversion.
-func Polys(g *lutmap.Graph) *diag.Report {
-	r := &diag.Report{}
+func polys(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+	g := r.Mapping.Graph
+	var ds []diag.Diagnostic
 	for i := range g.LUTs {
 		t := g.LUTs[i].Table
 		if t.NumVars > PolyCheckMaxVars {
@@ -79,38 +50,28 @@ func Polys(g *lutmap.Graph) *diag.Report {
 		}
 		loc := fmt.Sprintf("lut %d", i)
 		p := poly.FromTable(t)
-		r.Add(p.Lint(loc)...)
-		r.Add(poly.LintAgainstTable(p, t, loc)...)
+		ds = append(ds, p.Lint(loc)...)
+		ds = append(ds, poly.LintAgainstTable(p, t, loc)...)
 	}
-	return r
+	return ds, nil
 }
 
-// Model lints the compiled neural-network model.
-func Model(m *nn.Model) *diag.Report {
-	r := &diag.Report{}
-	r.Add(m.Lint()...)
-	return r
-}
-
-// Plan lowers the model to an execution plan and lints it — the final
-// stage boundary, verifying kernel selection, threshold fusion and the
-// activation-arena liveness analysis against the model.
-func Plan(m *nn.Model) (*diag.Report, error) {
-	p, err := plan.Compile(m)
+// planLint lowers the model to an execution plan and lints it,
+// verifying kernel selection, threshold fusion and the activation-arena
+// liveness analysis against the model.
+func planLint(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+	p, err := plan.Compile(r.Model)
 	if err != nil {
 		return nil, fmt.Errorf("irlint: lowering to plan: %w", err)
 	}
-	r := &diag.Report{}
-	r.Add(p.Lint()...)
-	return r, nil
+	return p.Lint(), nil
 }
 
-// Analyze lowers the model and runs the static plan analysis (rules
+// analyzeLint lowers the model and runs the static plan analysis (rules
 // PA001–PA008): cone-of-influence clustering, the static cost model,
-// the arena aliasing/liveness proof and degenerate-row classification —
-// the stage after the structural plan lint.
-func Analyze(m *nn.Model) (*diag.Report, error) {
-	p, err := plan.Compile(m)
+// the arena aliasing/liveness proof and degenerate-row classification.
+func analyzeLint(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+	p, err := plan.Compile(r.Model)
 	if err != nil {
 		return nil, fmt.Errorf("irlint: lowering to plan: %w", err)
 	}
@@ -118,19 +79,17 @@ func Analyze(m *nn.Model) (*diag.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("irlint: plan analysis: %w", err)
 	}
-	r := &diag.Report{}
-	r.Add(res.Diags...)
-	return r, nil
+	return res.Diags, nil
 }
 
-// Faults enumerates and collapses the stuck-at/SEU fault universe of
+// faults enumerates and collapses the stuck-at/SEU fault universe of
 // the mapped graph, compiles the full overlay (every simulated class on
 // its own lane) against a reuse-free plan, and lints both — the static
 // verification of the fault-injection subsystem (rules FT001–FT004).
-func Faults(model *nn.Model, g *lutmap.Graph) (*diag.Report, error) {
-	r := &diag.Report{}
+func faults(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+	model, g := r.Model, r.Mapping.Graph
 	u := fault.Enumerate(g, len(model.Feedback))
-	r.Add(u.Lint(g)...)
+	ds := u.Lint(g)
 
 	fp, err := plan.CompileOpts(model, plan.Options{DisableArenaReuse: true})
 	if err != nil {
@@ -147,181 +106,111 @@ func Faults(model *nn.Model, g *lutmap.Graph) (*diag.Report, error) {
 		}
 		lane++
 	}
-	r.Add(ov.Lint(fp, lane)...)
-	return r, nil
+	return append(ds, ov.Lint(fp, lane)...), nil
 }
 
-// Equiv runs the SAT equivalence stage (rules EQ001–EQ008): pairing
+// equivLint runs the SAT equivalence stage (rules EQ001–EQ008): pairing
 // invariants first, then the three stage miters and the per-LUT
 // table→polynomial→threshold chain, converting the certificate into
 // diagnostics. Broken pairing skips the proof — the miters cannot share
 // primary inputs without it.
-func Equiv(nl *netlist.Netlist, g *aig.AIG, outs []aig.Lit, m *lutmap.Mapping, model *nn.Model) (*diag.Report, error) {
-	r := &diag.Report{}
-	if ds := equiv.LintPairing(nl, g, outs, m); len(ds) > 0 {
-		r.Add(ds...)
-		return r, nil
+func equivLint(c *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+	if c.NoEquiv {
+		return nil, nil
 	}
-	res, err := equiv.Prove(nl, g, outs, m, model, equiv.Options{})
+	if ds := equiv.LintPairing(r.Netlist, c.aig, c.aigOuts, r.Mapping); len(ds) > 0 {
+		return ds, nil
+	}
+	res, err := equiv.Prove(r.Netlist, c.aig, c.aigOuts, r.Mapping, r.Model, equiv.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("irlint: equivalence proof: %w", err)
 	}
-	r.Add(res.Lint()...)
-	return r, nil
+	return res.Lint(), nil
 }
 
-// Options configures the pipeline check. The zero value means L = 7,
-// priority-cuts mapping, layer merging on.
-type Options struct {
-	// L is the LUT size hyperparameter.
-	L int
-	// FlowMap selects the depth-optimal mapper.
-	FlowMap bool
-	// CoalesceWide, when > 0, runs wide AND/OR coalescing after
-	// mapping, as in the main compile path.
-	CoalesceWide int
-	// NoMerge disables the depth-halving layer merge.
-	NoMerge bool
+// checks is the stage → lint table: which rule families run at which
+// boundary of the compile driver, in order. Every entry inspects the
+// very objects the driver hands to its next stage.
+var checks = []struct {
+	at    compile.Stage
+	stage diag.Stage
+	lint  func(c *Checker, r *compile.Result) ([]diag.Diagnostic, error)
+}{
+	{compile.StageDesign, diag.StageAST, func(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+		return r.Design.Lint(), nil
+	}},
+	// Elaboration validates the netlist itself on exit, so netlist
+	// errors normally surface as a failed compile, not as diagnostics.
+	{compile.StageNetlist, diag.StageNetlist, func(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+		return r.Netlist.Lint(), nil
+	}},
+	{compile.StageAIG, diag.StageAIG, func(c *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+		c.aig, c.aigOuts = r.AIG, r.AIGOuts // kept for the EQ stage
+		return r.AIG.Lint(r.AIGOuts), nil
+	}},
+	{compile.StageMapping, diag.StageLUT, func(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+		return r.Mapping.Graph.Lint(), nil
+	}},
+	{compile.StageMapping, diag.StagePoly, polys},
+	{compile.StageModel, diag.StageNN, func(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+		return r.Model.Lint(), nil
+	}},
+	{compile.StageModel, diag.StagePlan, planLint},
+	{compile.StageModel, diag.StageAnalyze, analyzeLint},
+	{compile.StageModel, diag.StageFault, faults},
+	{compile.StageModel, diag.StageEquiv, equivLint},
+}
+
+// Checker observes a compile through its After method, linting every
+// IR at its stage boundary into Report.
+type Checker struct {
+	// Report collects every diagnostic found so far, in stage order.
+	Report diag.Report
 	// NoEquiv disables the SAT equivalence stage (rules EQ001–EQ008),
 	// leaving only the per-stage structural lints.
 	NoEquiv bool
+	// Trace, when non-nil, records one "lint" span per rule family with
+	// its stage and diagnostic count.
+	Trace *obs.Trace
+
+	aig     *aig.AIG
+	aigOuts []aig.Lit
 }
 
-func (o *Options) fill() {
-	if o.L == 0 {
-		o.L = 7
-	}
-}
-
-// Check compiles the netlist stage by stage, linting at every stage
-// boundary, and returns the compiled model together with the combined
-// report. When a stage reports Error-severity diagnostics, compilation
-// stops at that boundary and the model is nil. A non-nil error means a
-// stage failed outright (distinct from reporting diagnostics).
-func Check(nl *netlist.Netlist, opts Options) (*nn.Model, *diag.Report, error) {
-	opts.fill()
-	report := Netlist(nl)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	g, lits, err := aig.FromNetlist(nl)
-	if err != nil {
-		return nil, report, fmt.Errorf("irlint: lowering to AIG: %w", err)
-	}
-	outs := make([]aig.Lit, 0, len(nl.CombOutputs()))
-	for _, net := range nl.CombOutputs() {
-		outs = append(outs, lits[net])
-	}
-	report.Add(AIG(g, outs).Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	alg := lutmap.PriorityCuts
-	if opts.FlowMap {
-		alg = lutmap.FlowMap
-	}
-	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: opts.L, Algorithm: alg})
-	if err != nil {
-		return nil, report, fmt.Errorf("irlint: mapping: %w", err)
-	}
-	if opts.CoalesceWide > 0 {
-		cg, err := lutmap.Coalesce(m.Graph, opts.CoalesceWide)
-		if err != nil {
-			return nil, report, fmt.Errorf("irlint: coalescing: %w", err)
+// After is the compile.Run observer: it runs the checks of the given
+// boundary and stops the compile at the first rule family that reports
+// an Error-severity diagnostic.
+func (c *Checker) After(at compile.Stage, r *compile.Result) error {
+	for _, ck := range checks {
+		if ck.at != at {
+			continue
 		}
-		m.Graph = cg
-	}
-	report.Add(Graph(m.Graph).Diags...)
-	report.Add(Polys(m.Graph).Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: !opts.NoMerge, L: opts.L})
-	if err != nil {
-		return nil, report, fmt.Errorf("irlint: building network: %w", err)
-	}
-	report.Add(Model(model).Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	planReport, err := Plan(model)
-	if err != nil {
-		return nil, report, err
-	}
-	report.Add(planReport.Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	analyzeReport, err := Analyze(model)
-	if err != nil {
-		return nil, report, err
-	}
-	report.Add(analyzeReport.Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	faultReport, err := Faults(model, m.Graph)
-	if err != nil {
-		return nil, report, err
-	}
-	report.Add(faultReport.Diags...)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-
-	if !opts.NoEquiv {
-		eqReport, err := Equiv(nl, g, outs, m, model)
+		lsp := c.Trace.Begin("lint").SetStr("stage", string(ck.stage))
+		ds, err := ck.lint(c, r)
+		lsp.SetInt("diagnostics", int64(len(ds))).End()
 		if err != nil {
-			return nil, report, err
+			return err
 		}
-		report.Add(eqReport.Diags...)
+		c.Report.Add(ds...)
+		if c.Report.HasErrors() {
+			return compile.Stop
+		}
 	}
-	report.Sort()
-	if report.HasErrors() {
-		return nil, report, nil
-	}
-	return model, report, nil
+	return nil
 }
 
-// CheckSources parses and lints the Verilog AST, elaborates the design
-// and runs the pipeline Check — the full static verification of a
-// source-level compile. order fixes the parse order (nil for map
-// order); top selects the top module ("" infers it).
-func CheckSources(sources map[string]string, order []string, top string, opts Options) (*nn.Model, *diag.Report, error) {
-	design, err := verilog.BuildDesign(sources, order)
-	if err != nil {
-		return nil, nil, err
+// Check compiles src through the driver with a Checker observing, and
+// returns the compiled model together with the sorted report. When a
+// stage reports Error-severity diagnostics, compilation stops at that
+// boundary and the model is nil. A non-nil error means a stage failed
+// outright (parse or elaboration failure, say), distinct from the
+// report carrying diagnostics.
+func Check(src compile.Source, opts compile.Options, noEquiv bool) (*nn.Model, *diag.Report, error) {
+	c := &Checker{NoEquiv: noEquiv, Trace: opts.Trace}
+	res, err := compile.Run(src, opts, c.After)
+	c.Report.Sort()
+	if err != nil || c.Report.HasErrors() {
+		return nil, &c.Report, err
 	}
-	report := Design(design)
-	if report.HasErrors() {
-		report.Sort()
-		return nil, report, nil
-	}
-	// Elaboration validates the netlist itself on exit; elaboration
-	// failures are hard errors rather than diagnostics.
-	nl, err := elaborate(design, top)
-	if err != nil {
-		return nil, report, err
-	}
-	model, rest, cerr := Check(nl, opts)
-	report.Add(rest.Diags...)
-	report.Sort()
-	return model, report, cerr
-}
-
-func elaborate(design *verilog.Design, top string) (*netlist.Netlist, error) {
-	return synth.Elaborate(design, synth.Options{Top: top, Optimize: true})
+	return res.Model, &c.Report, nil
 }

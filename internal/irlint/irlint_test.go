@@ -8,6 +8,7 @@ import (
 
 	"c2nn/internal/aig"
 	"c2nn/internal/circuits"
+	"c2nn/internal/compile"
 	"c2nn/internal/irlint"
 	"c2nn/internal/irlint/diag"
 	"c2nn/internal/lutmap"
@@ -58,9 +59,9 @@ func TestCleanPipeline(t *testing.T) {
 				// race detector; the plain build and the CI equivalence
 				// job keep it covered.
 				skipEquiv := testing.Short() || raceflag.Enabled
-				model, report, err := irlint.CheckSources(c.Generate(), nil, c.Top, irlint.Options{L: L, NoEquiv: skipEquiv})
+				model, report, err := irlint.Check(compile.FromCircuit(c), compile.Options{L: L}, skipEquiv)
 				if err != nil {
-					t.Fatalf("CheckSources: %v", err)
+					t.Fatalf("Check: %v", err)
 				}
 				cts := report.Counts()
 				if cts.Errors != 0 || cts.Warnings != 0 {
@@ -307,19 +308,18 @@ func TestPolyRules(t *testing.T) {
 	}
 }
 
-// tinyModel compiles a two-gate, one-flip-flop netlist into a verified
+// tinyModel compiles a two-gate, one-flip-flop design into a verified
 // clean model for the NN corruption cases to mutate.
 func tinyModel(t *testing.T) *nn.Model {
 	t.Helper()
-	n := netlist.New("tiny")
-	a := n.AddInput("a", 1)
-	b := n.AddInput("b", 1)
-	x := n.AddGate(netlist.And, a[0], b[0])
-	q := n.NewNet()
-	n.AddFF(x, q, false)
-	y := n.AddGate(netlist.Xor, q, a[0])
-	n.AddOutput("y", []netlist.NetID{y})
-	model, report, err := irlint.Check(n, irlint.Options{L: 4})
+	src := compile.Source{Files: map[string]string{"tiny.v": `
+module tiny(input wire clk, input wire a, input wire b, output wire y);
+  reg q;
+  always @(posedge clk) q <= a & b;
+  assign y = q ^ a;
+endmodule
+`}}
+	model, report, err := irlint.Check(src, compile.Options{L: 4}, false)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -407,27 +407,30 @@ endmodule
 	}
 }
 
-// TestCheckStopsAtStage pins the stage-boundary contract: a netlist
+// TestCheckStopsAtStage pins the stage-boundary contract: a design
 // with Error diagnostics yields a nil model and a report confined to
-// the netlist stage.
+// the AST stage.
 func TestCheckStopsAtStage(t *testing.T) {
-	n, _ := outNetlist()
-	u, v := n.NewNet(), n.NewNet()
-	n.AddGateOut(netlist.Not, u, v)
-	n.AddGateOut(netlist.Not, v, u)
-	n.AddOutput("z", []netlist.NetID{u})
-	model, report, err := irlint.Check(n, irlint.Options{L: 4})
+	src := compile.Source{Files: map[string]string{"t.v": `
+module top(input wire a, output wire y);
+  wire tmp;
+  wire tmp;
+  assign tmp = a;
+  assign y = tmp;
+endmodule
+`}}
+	model, report, err := irlint.Check(src, compile.Options{L: 4}, false)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
 	if model != nil {
-		t.Fatal("model built despite netlist errors")
+		t.Fatal("model built despite AST errors")
 	}
 	if !report.HasErrors() {
 		t.Fatal("expected errors in report")
 	}
 	for _, d := range report.Diags {
-		if d.Stage != diag.StageNetlist {
+		if d.Stage != diag.StageAST {
 			t.Fatalf("diagnostic past the failing stage boundary: %s", d)
 		}
 	}
@@ -437,7 +440,8 @@ func TestCheckStopsAtStage(t *testing.T) {
 func TestReportJSON(t *testing.T) {
 	n, _ := outNetlist()
 	n.AddInput("unused", 1)
-	r := irlint.Netlist(n)
+	r := &diag.Report{}
+	r.Add(n.Lint()...)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

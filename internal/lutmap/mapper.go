@@ -411,40 +411,53 @@ func coneTable(g *aig.AIG, root int32, leaves []int32) (truthtab.Table, error) {
 	return rec(root)
 }
 
-// MapNetlist runs the full front half of the pipeline on a netlist: the
-// flip-flop cut exposes the combinational core, which is lowered to an
-// AIG and covered with K-LUTs. The result ties graph PIs/outputs back to
-// netlist nets.
-func MapNetlist(nl *netlist.Netlist, opts Options) (*Mapping, error) {
-	msp := opts.Trace.Begin("lutmap")
-	defer msp.End()
-	asp := opts.Trace.Begin("aig")
+// Lower exposes the combinational core of a netlist by the flip-flop
+// cut and lowers it to an AIG, recording the "aig" span. outs holds the
+// literal of every combinational output, in nl.CombOutputs() order.
+func Lower(nl *netlist.Netlist, tr *obs.Trace) (*aig.AIG, []aig.Lit, error) {
+	asp := tr.Begin("aig")
+	defer asp.End()
 	g, lits, err := aig.FromNetlist(nl)
+	if err != nil {
+		return nil, nil, err
+	}
+	asp.SetInt("nodes", int64(g.NumNodes()))
+	outNets := nl.CombOutputs()
+	outs := make([]aig.Lit, len(outNets))
+	for i, net := range outNets {
+		lit, ok := lits[net]
+		if !ok {
+			return nil, nil, fmt.Errorf("lutmap: no literal for combinational output %s", nl.NameOf(net))
+		}
+		outs[i] = lit
+	}
+	return g, outs, nil
+}
+
+// MapLowered covers an AIG produced by Lower with K-LUTs. The result
+// ties graph PIs/outputs back to netlist nets.
+func MapLowered(nl *netlist.Netlist, g *aig.AIG, outs []aig.Lit, opts Options) (*Mapping, error) {
+	graph, err := Map(g, outs, opts)
 	if err != nil {
 		return nil, err
 	}
-	asp.SetInt("nodes", int64(g.NumNodes())).End()
-
 	var piNets []netlist.NetID
 	for _, id := range nl.CombInputs() {
 		if id != netlist.ConstZero && id != netlist.ConstOne {
 			piNets = append(piNets, id)
 		}
 	}
+	return &Mapping{Graph: graph, PINets: piNets, OutputNets: nl.CombOutputs()}, nil
+}
 
-	outNets := nl.CombOutputs()
-	outLits := make([]aig.Lit, len(outNets))
-	for i, net := range outNets {
-		lit, ok := lits[net]
-		if !ok {
-			return nil, fmt.Errorf("lutmap: no literal for combinational output %s", nl.NameOf(net))
-		}
-		outLits[i] = lit
-	}
-
-	graph, err := Map(g, outLits, opts)
+// MapNetlist runs the full front half of the pipeline on a netlist:
+// Lower, then MapLowered, under one "lutmap" span.
+func MapNetlist(nl *netlist.Netlist, opts Options) (*Mapping, error) {
+	msp := opts.Trace.Begin("lutmap")
+	defer msp.End()
+	g, outs, err := Lower(nl, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
-	return &Mapping{Graph: graph, PINets: piNets, OutputNets: outNets}, nil
+	return MapLowered(nl, g, outs, opts)
 }

@@ -244,3 +244,41 @@ func TestModelRoundTripRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckKeepsCompileSpans pins the compile span taxonomy and that
+// Options.Check only adds to it: the checked compile walks the same
+// driver, so it records the same stage spans plus "lint".
+func TestCheckKeepsCompileSpans(t *testing.T) {
+	spanNames := func(check bool) map[string]bool {
+		tr := NewTrace()
+		if _, err := CompileBenchmark("UART", Options{L: 4, Check: check, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, s := range tr.Spans() {
+			set[s.Name] = true
+		}
+		return set
+	}
+	plain, checked := spanNames(false), spanNames(true)
+	for _, want := range []string{"compile", "parse", "elaborate", "bitblast", "clocks", "netlist.opt",
+		"lutmap", "aig", "cuts", "tables", "normalize", "nn", "poly", "network"} {
+		if !plain[want] {
+			t.Errorf("plain compile records no %q span", want)
+		}
+	}
+	if !checked["lint"] {
+		t.Error(`checked compile records no "lint" span`)
+	}
+	delete(checked, "lint")
+	for name := range plain {
+		if !checked[name] {
+			t.Errorf("span %q is lost under Options.Check", name)
+		}
+	}
+	for name := range checked {
+		if !plain[name] {
+			t.Errorf("span %q appears only under Options.Check", name)
+		}
+	}
+}
