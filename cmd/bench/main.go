@@ -1,24 +1,25 @@
-// Command bench regenerates the paper's evaluation: Table I, Fig. 4,
-// Fig. 6 and the design-choice ablations. Results print as aligned text
-// tables matching the rows/series the paper reports.
+// Command bench walks the suite table of internal/bench: every table and
+// figure of the paper's evaluation plus the per-subsystem measurements,
+// printed as aligned text tables and recorded as uniform rows in one
+// JSON ledger (docs/BENCH.md).
 //
 // Usage:
 //
-//	bench -table1                      # all circuits, L = 3,7,11
-//	bench -table1 -circuits UART,SPI -L 3,5,7
-//	bench -fig4
-//	bench -fig6
-//	bench -ablations
-//	bench -backends                    # float32 / int32 / bitpacked comparison
-//	bench -json -out BENCH_exec.json   # backend comparison as JSON (CI artifact)
-//	bench -telemetry                   # telemetry-layer overhead (on vs off)
-//	bench -all
+//	bench table1                         # Table I: all circuits, L = 3,7,11
+//	bench table1 -circuits UART,SPI -L 3,5,7
+//	bench fig4 fig6 ablations
+//	bench backends -min-ms 50 -out BENCH.json
+//	bench all                            # every suite
+//	bench gate BENCH.json [BASELINE.json]
+//
+// A flag overrides a suite's own default only when it is given; -out
+// adds the suites run to the ledger already in the file, so runs at
+// different configurations accumulate into one ledger for the gate.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,322 +29,171 @@ import (
 	"c2nn/internal/obs"
 )
 
+// options is the one flag set every suite shares.
+type options struct {
+	fs                        *flag.FlagSet
+	circuits, ls, out, trace  *string
+	batch, minMs, verifyCycle *int
+	quiet                     *bool
+}
+
+func newOptions() *options {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: bench <suite>...|all [flags]\n       bench gate LEDGER.json [BASELINE.json]\nsuites:")
+		for _, s := range bench.Suites {
+			fmt.Fprintf(os.Stderr, "  %-10s %s\n", s.Name, s.Title)
+		}
+		fmt.Fprintln(os.Stderr, "flags (unset = each suite's own default):")
+		fs.PrintDefaults()
+	}
+	return &options{
+		fs:          fs,
+		circuits:    fs.String("circuits", "", "comma-separated circuit names"),
+		ls:          fs.String("L", "", "comma-separated LUT sizes"),
+		batch:       fs.Int("batch", 0, "NN stimulus batch size"),
+		minMs:       fs.Int("min-ms", 0, "per-measurement time floor in milliseconds"),
+		verifyCycle: fs.Int("verify-cycles", 0, "table1: equivalence-check cycles per row (0 skips)"),
+		out:         fs.String("out", "", "add the rows to the JSON ledger in this file"),
+		trace:       fs.String("trace", "", "record a Chrome trace of the run to this file (chrome://tracing)"),
+		quiet:       fs.Bool("q", false, "suppress progress lines"),
+	}
+}
+
+// env is the suite's default configuration with exactly the flags that
+// were given on the command line laid over it.
+func (o *options) env(s *bench.Suite, all bool) (*bench.Env, error) {
+	env, err := s.Env(all)
+	o.fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		switch f.Name {
+		case "circuits":
+			env.Circuits, err = bench.Circuits(splitList(*o.circuits))
+		case "L":
+			env.Ls = nil
+			for _, v := range splitList(*o.ls) {
+				var l int
+				if l, err = strconv.Atoi(v); err != nil {
+					return
+				}
+				env.Ls = append(env.Ls, l)
+			}
+		case "batch":
+			env.Batch = *o.batch
+		case "min-ms":
+			env.MinMeasure = time.Duration(*o.minMs) * time.Millisecond
+		case "verify-cycles":
+			env.VerifyCycles = *o.verifyCycle
+		}
+	})
+	return env, err
+}
+
+func splitList(s string) []string {
+	list := strings.Split(s, ",")
+	for i := range list {
+		list[i] = strings.TrimSpace(list[i])
+	}
+	return list
+}
+
 func main() {
-	var (
-		table1    = flag.Bool("table1", false, "regenerate Table I")
-		fig4      = flag.Bool("fig4", false, "regenerate Fig. 4 (polynomial generation time)")
-		fig6      = flag.Bool("fig6", false, "regenerate Fig. 6 (UART L sweep)")
-		ablations = flag.Bool("ablations", false, "run the design-choice ablations")
-		backends  = flag.Bool("backends", false, "compare float32/int32/bitpacked execution backends")
-		jsonOut   = flag.Bool("json", false, "run the backend comparison and emit JSON (implies -backends)")
-		outPath   = flag.String("out", "", "write the -json report to this file instead of stdout")
-		influence = flag.Bool("influence", false, "check the §II-B sensitivity-vs-density hypothesis over the mapped LUTs")
-		faults    = flag.Bool("faults", false, "grade stuck-at fault coverage and report faults/s per backend")
-		equivF    = flag.Bool("equiv", false, "time the formal equivalence checker (CNF build + solve per circuit and L)")
-		equivOut  = flag.String("equiv-out", "", "write the -equiv rows as JSON to this file")
-		analyzeF  = flag.Bool("analyze", false, "run the static plan analyzer and correlate its cost model against measured layer times")
-		analyzeO  = flag.String("analyze-out", "", "write the -analyze rows as JSON to this file")
-		activityF = flag.Bool("activity", false, "measure activity-driven execution (skip rate, speedup, bit-equality) on testbench and dense workloads")
-		activityO = flag.String("activity-out", "", "write the -activity rows as JSON to this file")
-		telemF    = flag.Bool("telemetry", false, "measure the continuous-telemetry layer's overhead (stats+sampler+flight recorder on vs off)")
-		telemO    = flag.String("telemetry-out", "", "write the -telemetry rows as JSON to this file")
-		all       = flag.Bool("all", false, "run everything")
-		circuitsF = flag.String("circuits", "", "comma-separated circuit names for -table1 (default all)")
-		lsF       = flag.String("L", "3,7,11", "comma-separated LUT sizes for -table1")
-		batch     = flag.Int("batch", 256, "NN stimulus batch size")
-		minMs     = flag.Int("min-ms", 300, "per-measurement time floor in milliseconds")
-		verifyC   = flag.Int("verify-cycles", 16, "equivalence-check cycles per Table I row (0 skips)")
-		tracePath = flag.String("trace", "", "record a Chrome trace of the run to this file (chrome://tracing)")
-		quiet     = flag.Bool("q", false, "suppress progress lines")
-	)
-	flag.Parse()
-
-	progress := os.Stderr
-	if *quiet {
-		progress = nil
+	args := os.Args[1:]
+	if len(args) > 0 && args[0] == "gate" {
+		gate(args[1:])
+		return
 	}
-	var tr *obs.Trace
-	if *tracePath != "" {
-		tr = obs.New()
-		defer func() {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			if err := tr.WriteChromeTrace(f); err != nil {
-				fatal(err)
-			}
-		}()
+	var names []string
+	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		names, args = append(names, args[0]), args[1:]
 	}
-	ran := false
-
-	if *table1 || *all {
-		ran = true
-		cfg := bench.DefaultTable1Config()
-		cfg.Batch = *batch
-		cfg.MinMeasure = time.Duration(*minMs) * time.Millisecond
-		cfg.VerifyCycles = *verifyC
-		cfg.Trace = tr
-		if *lsF != "" {
-			cfg.Ls = nil
-			for _, s := range strings.Split(*lsF, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					fatal(err)
-				}
-				cfg.Ls = append(cfg.Ls, v)
-			}
-		}
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		rows, err := bench.RunTable1(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n=== Table I ===")
-		fmt.Print(bench.FormatTable1(rows))
-	}
-
-	if *fig4 || *all {
-		ran = true
-		rows := bench.RunFig4(bench.DefaultFig4Config(), progress)
-		fmt.Println("\n=== Fig. 4: polynomial generation time ===")
-		fmt.Print(bench.FormatFig4(rows))
-	}
-
-	if *fig6 || *all {
-		ran = true
-		cfg := bench.DefaultFig6Config()
-		rows, err := bench.RunFig6(cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n=== Fig. 6: UART LUT-size sweep ===")
-		fmt.Print(bench.FormatFig6(rows))
-	}
-
-	if *ablations || *all {
-		ran = true
-		rows, err := bench.RunAblations(bench.DefaultAblationConfig(), progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n=== Ablations ===")
-		fmt.Print(bench.FormatAblations(rows))
-	}
-
-	if *backends || *jsonOut || *all {
-		ran = true
-		cfg := bench.DefaultBackendsConfig()
-		cfg.Batch = *batch
-		cfg.MinMeasure = time.Duration(*minMs) * time.Millisecond
-		cfg.Trace = tr
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		rows, err := bench.RunBackends(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			w := io.Writer(os.Stdout)
-			if *outPath != "" {
-				f, err := os.Create(*outPath)
-				if err != nil {
-					fatal(err)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := bench.WriteBackendsJSON(w, rows); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Println("\n=== Execution backends ===")
-			fmt.Print(bench.FormatBackends(rows))
+	o := newOptions()
+	o.fs.Parse(args)
+	all := len(names) == 1 && names[0] == "all"
+	if all {
+		names = nil
+		for _, s := range bench.Suites {
+			names = append(names, s.Name)
 		}
 	}
-
-	if *faults || *all {
-		ran = true
-		cfg := bench.DefaultFaultsConfig()
-		cfg.Trace = tr
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		} else if !*all {
-			names = nil
-		}
-		if *all {
-			// Keep -all bounded: the protocol cores alone exercise the
-			// grading path on tens of thousands of fault classes.
-			names = []string{"UART", "SPI"}
-		}
-		rows, err := bench.RunFaults(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n=== Fault grading (faults/s per backend) ===")
-		fmt.Print(bench.FormatFaults(rows))
-	}
-
-	if *equivF || *all {
-		ran = true
-		cfg := bench.DefaultEquivConfig()
-		cfg.Trace = tr
-		if *lsF != "" {
-			cfg.Ls = nil
-			for _, s := range strings.Split(*lsF, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					fatal(err)
-				}
-				cfg.Ls = append(cfg.Ls, v)
-			}
-		}
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		if *all && *circuitsF == "" {
-			// Keep -all bounded: the full matrix is minutes-scale; the
-			// protocol cores still exercise every checker phase.
-			names = []string{"UART", "SPI"}
-		}
-		rows, err := bench.RunEquiv(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *equivOut != "" {
-			f, err := os.Create(*equivOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := bench.WriteEquivJSON(f, rows); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
-		}
-		fmt.Println("\n=== Formal equivalence (SAT miters + per-LUT chain) ===")
-		fmt.Print(bench.FormatEquiv(rows))
-	}
-
-	if *analyzeF || *all {
-		ran = true
-		cfg := bench.DefaultAnalyzeConfig()
-		cfg.Batch = *batch
-		cfg.MinMeasure = time.Duration(*minMs) * time.Millisecond
-		cfg.Trace = tr
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		rows, err := bench.RunAnalyze(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *analyzeO != "" {
-			f, err := os.Create(*analyzeO)
-			if err != nil {
-				fatal(err)
-			}
-			if err := bench.WriteAnalyzeJSON(f, rows); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
-		}
-		fmt.Println("\n=== Static plan analysis (clusters, cost model, aliasing proof) ===")
-		fmt.Print(bench.FormatAnalyze(rows))
-	}
-
-	if *activityF || *all {
-		ran = true
-		cfg := bench.DefaultActivityConfig()
-		cfg.Batch = *batch
-		cfg.MinMeasure = time.Duration(*minMs) * time.Millisecond
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		rows, err := bench.RunActivity(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *activityO != "" {
-			f, err := os.Create(*activityO)
-			if err != nil {
-				fatal(err)
-			}
-			if err := bench.WriteActivityJSON(f, rows); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
-		}
-		fmt.Println("\n=== Activity-driven execution (skip rate, speedup) ===")
-		fmt.Print(bench.FormatActivity(rows))
-	}
-
-	if *telemF || *all {
-		ran = true
-		cfg := bench.DefaultTelemetryConfig()
-		cfg.Batch = *batch
-		var names []string
-		if *circuitsF != "" {
-			for _, s := range strings.Split(*circuitsF, ",") {
-				names = append(names, strings.TrimSpace(s))
-			}
-		}
-		rows, err := bench.RunTelemetry(names, cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *telemO != "" {
-			f, err := os.Create(*telemO)
-			if err != nil {
-				fatal(err)
-			}
-			if err := bench.WriteTelemetryJSON(f, rows); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
-		}
-		fmt.Println("\n=== Telemetry overhead (stats + sampler + flight recorder) ===")
-		fmt.Print(bench.FormatTelemetry(rows))
-	}
-
-	if *influence || *all {
-		ran = true
-		rows, err := bench.RunInfluence(nil, 7, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n=== §II-B: LUT sensitivity vs polynomial density (L=7) ===")
-		fmt.Print(bench.FormatInfluence(rows))
-	}
-
-	if !ran {
-		flag.Usage()
+	if len(names) == 0 || o.fs.NArg() > 0 {
+		o.fs.Usage()
 		os.Exit(2)
+	}
+
+	var tr *obs.Trace
+	if *o.trace != "" {
+		tr = obs.New()
+	}
+	var ledger *bench.Ledger
+	if *o.out != "" {
+		var err error
+		if ledger, err = bench.OpenLedger(*o.out); err != nil {
+			fatal(err)
+		}
+	}
+	for _, name := range names {
+		s, err := bench.Lookup(name)
+		if err != nil {
+			fatal(err)
+		}
+		env, err := o.env(s, all)
+		if err != nil {
+			fatal(err)
+		}
+		env.Trace = tr
+		if !*o.quiet {
+			env.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+		}
+		rows, err := s.Run(env)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
+		}
+		if ledger != nil {
+			ledger.Add(name, rows)
+		}
+		fmt.Printf("\n=== %s ===\n%s", s.Title, bench.Render(s, rows))
+	}
+	if ledger != nil {
+		if err := ledger.WriteFile(*o.out); err != nil {
+			fatal(err)
+		}
+	}
+	if tr != nil {
+		f, err := os.Create(*o.trace)
+		if err != nil {
+			fatal(err)
+		}
+		if err := tr.WriteChromeTrace(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
+}
+
+// gate checks a ledger's rows against every suite's gates, and against
+// the baseline ledger where a gate is a regression bound.
+func gate(args []string) {
+	if len(args) < 1 || len(args) > 2 {
+		fmt.Fprintln(os.Stderr, "usage: bench gate LEDGER.json [BASELINE.json]")
+		os.Exit(2)
+	}
+	ledger, err := bench.ReadLedger(args[0])
+	if err != nil {
+		fatal(err)
+	}
+	var base *bench.Ledger
+	if len(args) == 2 {
+		if base, err = bench.ReadLedger(args[1]); err != nil {
+			fatal(err)
+		}
+	}
+	if !bench.Check(ledger, base, os.Stdout) {
+		os.Exit(1)
 	}
 }
 

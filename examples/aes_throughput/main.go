@@ -52,7 +52,7 @@ func main() {
 	base := bench.BaselineThroughput(res.Program, stim, minT)
 	fmt.Printf("baseline (scalar levelized, 1 stimulus/pass): %.3E gates*cycles/s\n", base)
 
-	nngcs, err := bench.NNThroughput(res, stim, *batch, runtime.GOMAXPROCS(0), simengine.Float32, minT)
+	nngcs, err := bench.NNThroughput(res, stim, *batch, runtime.GOMAXPROCS(0), simengine.Float32, minT, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,20 +22,38 @@ func main() {
 	maxL := flag.Int("max", 11, "largest LUT size")
 	flag.Parse()
 
-	rows, err := bench.RunFig6(bench.Fig6Config{
-		Circuit: "UART", MinL: *minL, MaxL: *maxL, Reps: 30,
-	}, os.Stderr)
+	fig6, err := bench.Lookup("fig6")
+	if err != nil {
+		log.Fatal(err)
+	}
+	env, err := fig6.Env(false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	env.Ls = nil
+	for l := *minL; l <= *maxL; l++ {
+		env.Ls = append(env.Ls, l)
+	}
+	env.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	rows, err := fig6.Run(env)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(bench.FormatFig6(rows))
+	fmt.Print(bench.Render(fig6, rows))
 
 	// Correlate, as Fig. 6 does: parallel time vs layers, sequential
 	// time vs connections.
-	first, last := rows[0], rows[len(rows)-1]
-	fmt.Printf("\nlayers:      L=%d -> %d,  L=%d -> %d  (decreasing, ~1/log2 L)\n",
-		first.L, first.Layers, last.L, last.Layers)
-	fmt.Printf("connections: L=%d -> %d,  L=%d -> %d  (increasing, ~2^L)\n",
-		first.L, first.Connections, last.L, last.Connections)
+	at := func(l int, metric string) float64 {
+		for _, r := range rows {
+			if r.L == l && r.Metric == metric {
+				return r.Value
+			}
+		}
+		return 0
+	}
+	fmt.Printf("\nlayers:      L=%d -> %.0f,  L=%d -> %.0f  (decreasing, ~1/log2 L)\n",
+		*minL, at(*minL, "layers"), *maxL, at(*maxL, "layers"))
+	fmt.Printf("connections: L=%d -> %.0f,  L=%d -> %.0f  (increasing, ~2^L)\n",
+		*minL, at(*minL, "connections"), *maxL, at(*maxL, "connections"))
 }

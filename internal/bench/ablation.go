@@ -1,11 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"io"
-	"strings"
-	"time"
-
 	"c2nn/internal/circuits"
 	"c2nn/internal/compile"
 	"c2nn/internal/lutmap"
@@ -14,175 +9,122 @@ import (
 	"c2nn/internal/tensor"
 )
 
-// AblationRow is one design-choice comparison on a single circuit/L.
-type AblationRow struct {
-	Name  string
-	Value string
-}
-
-// AblationConfig tunes the ablation run.
-type AblationConfig struct {
-	Circuit    string
-	L          int
-	Batch      int
-	MinMeasure time.Duration
-	Seed       int64
-}
-
-// DefaultAblationConfig uses UART at L=7.
-func DefaultAblationConfig() AblationConfig {
-	return AblationConfig{Circuit: "UART", L: 7, Batch: 512,
-		MinMeasure: 200 * time.Millisecond, Seed: 3}
-}
-
-// RunAblations measures the design choices DESIGN.md calls out:
+// runAblations measures the design choices DESIGN.md calls out, each as
+// rows of the two sides keyed by variant ("merged" is the shipped
+// configuration, every other variant changes one choice):
 //
-//   - layer merging (Fig. 5) on vs off: layer count and throughput;
-//   - float32 vs int32 kernels (§V future work);
-//   - sparse CSR vs dense matmul for the largest layer (§III-F);
-//   - priority-cut vs FlowMap mapping: depth and LUT count;
-//   - baseline engines: scalar vs event-driven vs 64-lane bit-parallel.
-func RunAblations(cfg AblationConfig, progress io.Writer) ([]AblationRow, error) {
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format+"\n", args...)
+//   - layer merging (Fig. 5): merged vs unmerged layers and throughput;
+//   - float32 vs int32 vs bit-packed kernels (§V), as backends of merged;
+//   - sparse CSR vs dense matmul on the largest layer (§III-F): spmm vs dense;
+//   - priority-cut vs FlowMap mapping: depth and LUT count, merged vs flowmap;
+//   - wide-gate coalescing (§V): depth and connections, merged vs coalesced;
+//   - baseline engines: scalar vs event vs batch64 gate-level simulators.
+//
+// The unmerged and coalesced builds change one stage of the pipeline, so
+// they call the stage functions directly (DESIGN.md "One driver").
+func runAblations(e *Env, out *emitter) error {
+	return e.each(func(c circuits.Circuit, l int) error {
+		merged, err := Compile(c, compile.Options{L: l, Trace: e.Trace})
+		if err != nil {
+			return err
 		}
-	}
-	c, err := circuits.ByName(cfg.Circuit)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	add := func(name, format string, args ...any) {
-		v := fmt.Sprintf(format, args...)
-		rows = append(rows, AblationRow{Name: name, Value: v})
-		logf("[ablation] %-42s %s", name, v)
-	}
-
-	// --- Merged vs unmerged (Fig. 5 / §III-D) --------------------------
-	merged, err := Compile(c, compile.Options{L: cfg.L})
-	if err != nil {
-		return nil, err
-	}
-	stim := NewStimulusSet(merged.Netlist, 64, cfg.Batch, cfg.Seed)
-
-	nlRaw, err := c.Elaborate()
-	if err != nil {
-		return nil, err
-	}
-	mapRaw, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: cfg.L})
-	if err != nil {
-		return nil, err
-	}
-	unmergedModel, err := nn.Build(nlRaw, mapRaw, nn.BuildOptions{Merge: false, L: cfg.L})
-	if err != nil {
-		return nil, err
-	}
-	unmerged := &CompileResult{Circuit: c, Netlist: nlRaw, Mapping: mapRaw,
-		Model: unmergedModel, Program: merged.Program, L: cfg.L}
-
-	mGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.Float32, cfg.MinMeasure)
-	if err != nil {
-		return nil, err
-	}
-	uGCS, err := NNThroughput(unmerged, stim, cfg.Batch, 0, simengine.Float32, cfg.MinMeasure)
-	if err != nil {
-		return nil, err
-	}
-	add("layers merged vs unmerged", "%d vs %d",
-		len(merged.Model.Net.Layers), len(unmergedModel.Net.Layers))
-	add("throughput merged vs unmerged (g*c/s)", "%.3g vs %.3g (x%.2f)",
-		mGCS, uGCS, mGCS/uGCS)
-
-	// --- Float32 vs Int32 vs BitPacked kernels (§V) --------------------
-	iGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.Int32, cfg.MinMeasure)
-	if err != nil {
-		return nil, err
-	}
-	add("throughput float32 vs int32 (g*c/s)", "%.3g vs %.3g (int is x%.2f)",
-		mGCS, iGCS, iGCS/mGCS)
-	bpGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.BitPacked, cfg.MinMeasure)
-	if err != nil {
-		return nil, err
-	}
-	add("throughput float32 vs bitpacked (g*c/s)", "%.3g vs %.3g (packed is x%.2f)",
-		mGCS, bpGCS, bpGCS/mGCS)
-
-	// --- Sparse vs dense matmul on the largest layer (§III-F) ----------
-	var big *tensor.CSR
-	for i := range merged.Model.Net.Layers {
-		w := merged.Model.Net.Layers[i].W
-		if big == nil || w.NNZ() > big.NNZ() {
-			big = w
+		stim := NewStimulusSet(merged.Netlist, 64, e.Batch, e.Seed)
+		pt := out.at(c.Name, l)
+		gcs := func(m *emitter, res *CompileResult, precs ...simengine.Precision) error {
+			for _, p := range precs {
+				v, err := NNThroughput(res, stim, e.Batch, 0, p, e.MinMeasure, e.Trace)
+				if err != nil {
+					return err
+				}
+				m.on(p.String()).put("gcs", v, "g*c/s")
+			}
+			return nil
 		}
-	}
-	dense := big.ToDense()
-	x := make([]float32, big.Cols*cfg.Batch)
-	for i := range x {
-		if i%3 == 0 {
-			x[i] = 1
+
+		// Shipped configuration: every backend, mapper depth/LUTs, size.
+		m := pt.as("merged")
+		m.count("layers", int64(len(merged.Model.Net.Layers)))
+		m.count("depth", int64(merged.Mapping.Graph.Depth()))
+		m.count("luts", int64(len(merged.Mapping.Graph.LUTs)))
+		m.count("connections", int64(merged.Model.Net.ComputeStats().Connections))
+		if err := gcs(m, merged, simengine.Float32, simengine.Int32, simengine.BitPacked); err != nil {
+			return err
 		}
-	}
-	y := make([]float32, big.Rows*cfg.Batch)
-	timeIt := func(f func()) time.Duration {
-		f() // warm-up
-		reps := 0
-		start := time.Now()
-		for time.Since(start) < cfg.MinMeasure/2 {
-			f()
-			reps++
+
+		// Unmerged (Fig. 5 / §III-D).
+		nlRaw, err := c.Elaborate()
+		if err != nil {
+			return err
 		}
-		return time.Since(start) / time.Duration(reps)
-	}
-	sp := timeIt(func() { big.MulBatch(x, cfg.Batch, y) })
-	dn := timeIt(func() { dense.MulBatchNoSkip(x, cfg.Batch, y) })
-	add("largest layer sparsity", "%.5f (%dx%d, nnz=%d)",
-		big.Sparsity(), big.Rows, big.Cols, big.NNZ())
-	add("SpMM vs dense matmul per pass", "%s vs %s (sparse x%.1f faster)",
-		sp, dn, float64(dn)/float64(sp))
+		mapRaw, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: l})
+		if err != nil {
+			return err
+		}
+		unmergedModel, err := nn.Build(nlRaw, mapRaw, nn.BuildOptions{Merge: false, L: l})
+		if err != nil {
+			return err
+		}
+		u := pt.as("unmerged")
+		u.count("layers", int64(len(unmergedModel.Net.Layers)))
+		if err := gcs(u, &CompileResult{Circuit: c, Model: unmergedModel}, simengine.Float32); err != nil {
+			return err
+		}
 
-	// --- Priority cuts vs FlowMap --------------------------------------
-	mFlow, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: cfg.L, Algorithm: lutmap.FlowMap})
-	if err != nil {
-		return nil, err
-	}
-	add("mapper depth priority-cuts vs FlowMap", "%d vs %d",
-		merged.Mapping.Graph.Depth(), mFlow.Graph.Depth())
-	add("mapper LUTs priority-cuts vs FlowMap", "%d vs %d",
-		len(merged.Mapping.Graph.LUTs), len(mFlow.Graph.LUTs))
+		// Sparse vs dense matmul on the largest layer (§III-F).
+		var big *tensor.CSR
+		for i := range merged.Model.Net.Layers {
+			if w := merged.Model.Net.Layers[i].W; big == nil || w.NNZ() > big.NNZ() {
+				big = w
+			}
+		}
+		dense := big.ToDense()
+		x := make([]float32, big.Cols*e.Batch)
+		for i := range x {
+			if i%3 == 0 {
+				x[i] = 1
+			}
+		}
+		y := make([]float32, big.Rows*e.Batch)
+		sp, _ := measure(e.MinMeasure/2, func() error { big.MulBatch(x, e.Batch, y); return nil })
+		dn, _ := measure(e.MinMeasure/2, func() error { dense.MulBatchNoSkip(x, e.Batch, y); return nil })
+		s := pt.as("spmm")
+		s.dur("pass_ns", sp.per())
+		s.put("sparsity", big.Sparsity(), "ratio")
+		s.count("nnz", int64(big.NNZ()))
+		s.count("rows", int64(big.Rows))
+		s.count("cols", int64(big.Cols))
+		pt.as("dense").dur("pass_ns", dn.per())
 
-	// --- Wide-gate coalescing (§V known-function polynomials) ----------
-	coalesced, err := lutmap.Coalesce(merged.Mapping.Graph, 16)
-	if err != nil {
-		return nil, err
-	}
-	cModel, err := nn.Build(merged.Netlist, &lutmap.Mapping{
-		Graph: coalesced, PINets: merged.Mapping.PINets, OutputNets: merged.Mapping.OutputNets,
-	}, nn.BuildOptions{Merge: true, L: cfg.L})
-	if err != nil {
-		return nil, err
-	}
-	add("coalesce depth before vs after", "%d vs %d",
-		merged.Mapping.Graph.Depth(), coalesced.Depth())
-	add("coalesce connections before vs after", "%d vs %d",
-		merged.Model.Net.ComputeStats().Connections, cModel.Net.ComputeStats().Connections)
+		// Priority cuts vs FlowMap.
+		mFlow, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: l, Algorithm: lutmap.FlowMap})
+		if err != nil {
+			return err
+		}
+		f := pt.as("flowmap")
+		f.count("depth", int64(mFlow.Graph.Depth()))
+		f.count("luts", int64(len(mFlow.Graph.LUTs)))
 
-	// --- Baseline engine family ----------------------------------------
-	scalar := BaselineThroughput(merged.Program, stim, cfg.MinMeasure)
-	event := EventThroughput(merged.Program, stim, cfg.MinMeasure)
-	b64 := Batch64Throughput(merged.Program, stim, cfg.MinMeasure)
-	add("baseline scalar / event / 64-lane (g*c/s)", "%.3g / %.3g / %.3g",
-		scalar, event, b64)
-	add("NN speedup over scalar baseline", "x%.1f", mGCS/scalar)
+		// Wide-gate coalescing (§V known-function polynomials).
+		coalesced, err := lutmap.Coalesce(merged.Mapping.Graph, 16)
+		if err != nil {
+			return err
+		}
+		cModel, err := nn.Build(merged.Netlist, &lutmap.Mapping{
+			Graph: coalesced, PINets: merged.Mapping.PINets, OutputNets: merged.Mapping.OutputNets,
+		}, nn.BuildOptions{Merge: true, L: l})
+		if err != nil {
+			return err
+		}
+		co := pt.as("coalesced")
+		co.count("depth", int64(coalesced.Depth()))
+		co.count("connections", int64(cModel.Net.ComputeStats().Connections))
 
-	return rows, nil
-}
-
-// FormatAblations renders ablation rows.
-func FormatAblations(rows []AblationRow) string {
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-44s %s\n", r.Name, r.Value)
-	}
-	return b.String()
+		// Baseline engine family.
+		g := pt.on(gateSim)
+		g.as("scalar").put("gcs", BaselineThroughput(merged.Program, stim, e.MinMeasure), "g*c/s")
+		g.as("event").put("gcs", EventThroughput(merged.Program, stim, e.MinMeasure), "g*c/s")
+		g.as("batch64").put("gcs", Batch64Throughput(merged.Program, stim, e.MinMeasure), "g*c/s")
+		e.logf("[ablations] %s L=%d done", c.Name, l)
+		return nil
+	})
 }

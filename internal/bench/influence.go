@@ -1,59 +1,31 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
-	"strings"
 
 	"c2nn/internal/circuits"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/poly"
 )
 
-// InfluenceRow checks the §II-B hypothesis on one circuit: "the more
-// complex and sensitive the DC is, the less sparse the polynomial will
-// be". For every mapped LUT it relates average sensitivity (normalised
-// total influence, O'Donnell 2014) to polynomial density (fraction of
-// the 2^k possible coefficients that are non-zero).
-type InfluenceRow struct {
-	Circuit       string
-	L             int
-	LUTs          int
-	MeanInfluence float64 // mean of TotalInfluence/k over LUTs
-	MeanDensity   float64 // mean of terms/2^k over LUTs
-	Correlation   float64 // Pearson r between the two, across LUTs
-	MaxDegree     int
-}
-
-// RunInfluence maps each circuit at the given L and computes the
-// sensitivity/density statistics.
-func RunInfluence(names []string, l int, progress io.Writer) ([]InfluenceRow, error) {
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
-	}
-	var rows []InfluenceRow
-	for _, c := range list {
+// runInfluence checks the §II-B hypothesis: "the more complex and
+// sensitive the DC is, the less sparse the polynomial will be". For
+// every mapped LUT it relates average sensitivity (total influence per
+// input, O'Donnell 2014) to polynomial density (non-zero coefficients /
+// 2^k) and reports the means and the Pearson correlation across LUTs;
+// §II-B predicts they rise together (positive r).
+func runInfluence(e *Env, out *emitter) error {
+	return e.each(func(c circuits.Circuit, l int) error {
 		nl, err := c.Elaborate()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l})
+		m, err := lutmap.MapNetlist(nl, lutmap.Options{K: l, Trace: e.Trace})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := InfluenceRow{Circuit: c.Name, L: l, LUTs: len(m.Graph.LUTs)}
 		var infl, dens []float64
+		maxDegree := 0
 		for i := range m.Graph.LUTs {
 			tab := m.Graph.LUTs[i].Table
 			if tab.NumVars == 0 {
@@ -62,21 +34,18 @@ func RunInfluence(names []string, l int, progress io.Writer) ([]InfluenceRow, er
 			p := poly.FromTable(tab)
 			infl = append(infl, tab.TotalInfluence()/float64(tab.NumVars))
 			dens = append(dens, float64(p.NumTerms())/float64(tab.Size()))
-			if d := p.Degree(); d > row.MaxDegree {
-				row.MaxDegree = d
-			}
+			maxDegree = max(maxDegree, p.Degree())
 		}
-		row.MeanInfluence = mean(infl)
-		row.MeanDensity = mean(dens)
-		row.Correlation = pearson(infl, dens)
-		if progress != nil {
-			fmt.Fprintf(progress, "[influence] %-18s L=%d luts=%-6d sens=%.3f density=%.3f r=%.3f\n",
-				c.Name, l, row.LUTs, row.MeanInfluence, row.MeanDensity, row.Correlation)
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].MeanInfluence < rows[j].MeanInfluence })
-	return rows, nil
+		pt := out.at(c.Name, l)
+		pt.count("luts", int64(len(m.Graph.LUTs)))
+		pt.put("mean_influence", mean(infl), "ratio")
+		pt.put("mean_density", mean(dens), "ratio")
+		pt.put("correlation", pearson(infl, dens), "r")
+		pt.count("max_degree", int64(maxDegree))
+		e.logf("[influence] %-18s L=%d luts=%-6d sens=%.3f density=%.3f r=%.3f",
+			c.Name, l, len(m.Graph.LUTs), mean(infl), mean(dens), pearson(infl, dens))
+		return nil
+	})
 }
 
 func mean(xs []float64) float64 {
@@ -106,19 +75,4 @@ func pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// FormatInfluence renders the §II-B hypothesis check.
-func FormatInfluence(rows []InfluenceRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %3s %7s %12s %12s %12s %8s\n",
-		"Circuit", "L", "LUTs", "sensitivity", "density", "correlation", "maxdeg")
-	b.WriteString(strings.Repeat("-", 78) + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %3d %7d %12.4f %12.4f %12.4f %8d\n",
-			r.Circuit, r.L, r.LUTs, r.MeanInfluence, r.MeanDensity, r.Correlation, r.MaxDegree)
-	}
-	b.WriteString("\nsensitivity = mean total influence per input; density = non-zero\n")
-	b.WriteString("coefficients / 2^k. §II-B predicts they rise together (positive r).\n")
-	return b.String()
 }

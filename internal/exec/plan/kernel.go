@@ -268,7 +268,7 @@ func (l *Layer) RowKinds() (kinds []KernelKind, tables []uint64) {
 }
 
 // KernelMix tallies rows per kernel kind over the whole plan — the
-// census `c2nn analyze` and `bench -json` report.
+// census `c2nn analyze` and `bench backends` report.
 func (p *Plan) KernelMix() map[string]int {
 	mix := make(map[string]int)
 	for li := range p.Layers {
