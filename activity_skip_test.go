@@ -473,9 +473,14 @@ func FuzzActivitySkip(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: kk})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: kk})
 		if err != nil {
 			t.Skip(err)
+		}
+		if merge {
+			if model, err = nn.Merge(model); err != nil {
+				t.Fatal(err)
+			}
 		}
 		prec := backendPrecisions[int(uint64(seed)%uint64(len(backendPrecisions)))]
 		batch := []int{1, 5, 67}[int(nGates)%3]

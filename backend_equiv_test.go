@@ -15,6 +15,7 @@ import (
 	"c2nn/internal/gatesim"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/nn"
+	"c2nn/internal/raceflag"
 	"c2nn/internal/simengine"
 )
 
@@ -26,19 +27,27 @@ var backendPrecisions = []simengine.Precision{
 
 // diffBackends drives identical random stimuli through one engine per
 // substrate for the given number of cycles and fails on the first
-// output bit where any backend disagrees with the float32 reference.
-// Wide ports (>64 bits) are driven with SetInputBits and read with
-// GetOutputBits, so the AES/SHA buses are covered too.
-func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64) {
+// output bit or flip-flop state bit where any backend disagrees with
+// the float32 reference. Wide ports (>64 bits) are driven with
+// SetInputBits and read with GetOutputBits, so the AES/SHA buses are
+// covered too. Every model in forms — other networks of the same
+// circuit, such as its nn.Merge — gets its own three engines, held to
+// the same reference.
+func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, forms ...*Model) {
 	t.Helper()
-	engines := make([]*Engine, len(backendPrecisions))
-	for i, prec := range backendPrecisions {
-		eng, err := NewEngine(model, EngineOptions{Batch: batch, Workers: 1 + i%2, Precision: prec})
-		if err != nil {
-			t.Fatalf("%v engine: %v", prec, err)
+	var engines []*Engine
+	for _, m := range append([]*Model{model}, forms...) {
+		for i, prec := range backendPrecisions {
+			eng, err := NewEngine(m, EngineOptions{Batch: batch, Workers: 1 + i%2, Precision: prec})
+			if err != nil {
+				t.Fatalf("%v engine (merged=%v): %v", prec, m.Merged, err)
+			}
+			defer eng.Close()
+			engines = append(engines, eng)
 		}
-		defer eng.Close()
-		engines[i] = eng
+	}
+	name := func(i int) string {
+		return fmt.Sprintf("%v (merged=%v)", engines[i].Precision(), engines[i].Model().Merged)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	bits := make([]bool, 0, 128)
@@ -90,8 +99,8 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64) {
 						}
 						for bit := range ref {
 							if got[bit] != ref[bit] {
-								t.Fatalf("cycle %d port %s lane %d bit %d: %v disagrees with float32",
-									cyc, out.Name, lane, bit, backendPrecisions[i+1])
+								t.Fatalf("cycle %d port %s lane %d bit %d: %s disagrees with float32",
+									cyc, out.Name, lane, bit, name(i+1))
 							}
 						}
 					}
@@ -109,8 +118,8 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64) {
 				}
 				for lane := range ref {
 					if got[lane] != ref[lane] {
-						t.Fatalf("cycle %d port %s lane %d: %v=%#x float32=%#x",
-							cyc, out.Name, lane, backendPrecisions[i+1], got[lane], ref[lane])
+						t.Fatalf("cycle %d port %s lane %d: %s=%#x float32=%#x",
+							cyc, out.Name, lane, name(i+1), got[lane], ref[lane])
 					}
 				}
 			}
@@ -118,12 +127,23 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64) {
 		for _, eng := range engines {
 			eng.LatchFeedback()
 		}
+		for fi, fb := range model.Feedback {
+			for lane := 0; lane < batch; lane++ {
+				ref := engines[0].PeekUnit(fb.ToPI, lane)
+				for i, eng := range engines[1:] {
+					if eng.PeekUnit(eng.Model().Feedback[fi].ToPI, lane) != ref {
+						t.Fatalf("cycle %d flip-flop %d lane %d: %s disagrees with float32", cyc, fi, lane, name(i+1))
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestBackendsBitIdenticalOnBenchmarks runs the differential check on
-// every Table I circuit at two LUT sizes. Batch 67 exercises partial
-// packed words (one full uint64 plus a 3-lane tail).
+// every Table I circuit at two LUT sizes, on the compiled network and
+// its Fig. 5 merge together. Batch 67 exercises partial packed words
+// (one full uint64 plus a 3-lane tail).
 func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 	ls := []int{4, 7}
 	if testing.Short() {
@@ -136,7 +156,15 @@ func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffBackends(t, model, 16, 67, int64(l)*1000+7)
+				var forms []*Model
+				if l <= 4 || !raceflag.Enabled { // merged L=7 float32/int32 passes are minutes under -race
+					merged, err := nn.Merge(model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					forms = append(forms, merged)
+				}
+				diffBackends(t, model, 16, 67, int64(l)*1000+7, forms...)
 			})
 		}
 	}
@@ -179,9 +207,14 @@ func TestSequentialTrajectoriesAcrossSimulators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: map: %v", trial, err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
+		}
+		if merge {
+			if model, err = nn.Merge(model); err != nil {
+				t.Fatalf("trial %d: merge: %v", trial, err)
+			}
 		}
 
 		t.Run(fmt.Sprintf("trial%d_K%d_merge%v_ffs%d", trial, k, merge, nFFs), func(t *testing.T) {
@@ -295,9 +328,14 @@ func TestBackendsBitIdenticalOnRandomCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (K=%d): map: %v", trial, k, err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
+		}
+		if merge {
+			if model, err = nn.Merge(model); err != nil {
+				t.Fatalf("trial %d: merge: %v", trial, err)
+			}
 		}
 		t.Run(fmt.Sprintf("trial%d_K%d_merge%v_batch%d", trial, k, merge, batch), func(t *testing.T) {
 			diffBackends(t, model, 16, batch, int64(trial)*31+5)

@@ -220,9 +220,14 @@ func BenchmarkAblationMerge(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merged, L: 7})
+			model, err := nn.Build(nl, m, nn.BuildOptions{L: 7})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if merged {
+				if model, err = nn.Merge(model); err != nil {
+					b.Fatal(err)
+				}
 			}
 			eng, err := simengine.New(model, simengine.Options{Batch: 256})
 			if err != nil {

@@ -6,7 +6,7 @@
 // The pipeline (paper Fig. 1):
 //
 //	Verilog ─▶ netlist ─▶ AIG ─▶ K-LUT graph ─▶ multi-linear
-//	polynomials ─▶ merged threshold network ─▶ batched parallel engine
+//	polynomials ─▶ threshold network ─▶ batched parallel engine
 //
 // This package is the public facade over the implementation packages:
 //
@@ -18,7 +18,7 @@
 //	internal/lutmap     K-feasible-cut technology mapping (priority cuts, FlowMap)
 //	internal/truthtab   packed truth tables
 //	internal/poly       multi-linear polynomials (Algorithm 1 + DNF baseline)
-//	internal/nn         network construction, layer merging, model files
+//	internal/nn         network construction, the layer-merge pass, model files
 //	internal/tensor     sparse CSR float32/int32 and bit-packed uint64 kernels
 //	internal/exec/plan  model lowering: threshold fusion, activation-arena
 //	                    liveness, per-row kernel selection
@@ -116,8 +116,8 @@ type Options struct {
 	// L is the LUT size hyperparameter (default 7). Larger L gives
 	// shallower networks with exponentially more connections (§III-B1).
 	L int
-	// NoMerge disables the depth-halving layer merge of §III-D.
-	NoMerge bool
+	// Merge applies the depth-halving layer merge of §III-D (Fig. 5).
+	Merge bool
 	// FlowMap selects the depth-optimal mapper instead of priority cuts.
 	FlowMap bool
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
@@ -151,7 +151,7 @@ func (o Options) driver() compile.Options {
 		L:            o.L,
 		FlowMap:      o.FlowMap,
 		CoalesceWide: o.CoalesceWide,
-		NoMerge:      o.NoMerge,
+		Merge:        o.Merge,
 		Trace:        o.Trace,
 	}
 }

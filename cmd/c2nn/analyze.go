@@ -56,7 +56,7 @@ func runAnalyze(args []string) error {
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		topN       = fs.Int("top", 10, "rows of the hottest-layer cost table (0 disables)")
 		showClus   = fs.Bool("clusters", false, "print the per-cluster breakdown")
-		noMerge    = fs.Bool("no-merge", false, "disable layer merging")
+		merge      = fs.Bool("merge", false, "apply the Fig. 5 layer merge")
 		useFlowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper")
 	)
 	fs.Usage = func() {
@@ -71,7 +71,7 @@ func runAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := compile.Options{L: *lutSize, FlowMap: *useFlowmap, NoMerge: *noMerge}
+	opts := compile.Options{L: *lutSize, FlowMap: *useFlowmap, Merge: *merge}
 
 	var reports []analyzeReport
 	failed := false

@@ -176,11 +176,7 @@ func runEquiv(args []string) error {
 // data so one broken proof doesn't hide the rest of the matrix.
 func proveOne(job equivJob, flowMap bool, eopts equiv.Options) equivOutcome {
 	oc := equivOutcome{Circuit: job.src.Name, L: job.l}
-	// The merged network build is minutes-scale at L=11 (a pipeline
-	// cost, not a checker cost); the chain proof is equally valid on
-	// the unmerged model, so large L proves against that.
-	copts := compile.Options{L: job.l, FlowMap: flowMap, NoMerge: job.l > 7}
-	res, err := equiv.ProveSource(job.src, copts, eopts)
+	res, err := equiv.ProveSource(job.src, compile.Options{L: job.l, FlowMap: flowMap}, eopts)
 	if err != nil {
 		oc.Error = err.Error()
 		return oc

@@ -23,7 +23,7 @@
 //	-top name    top module (default: inferred)
 //	-o path      output model file (default: <top>.c2nn)
 //	-circuit n   compile a built-in benchmark circuit instead of files
-//	-no-merge    disable the depth-halving layer merge (§III-D)
+//	-merge       apply the depth-halving layer merge (§III-D, Fig. 5)
 //	-flowmap     use the FlowMap depth-optimal mapper
 //	-stats       print netlist / mapping / network statistics
 //	-check       run the irlint IR verifier at every stage boundary
@@ -132,7 +132,7 @@ func runCompile(args []string) error {
 		top     = fs.String("top", "", "top module name (default: inferred)")
 		out     = fs.String("o", "", "output model path (default: <top>.c2nn)")
 		circuit = fs.String("circuit", "", "compile a built-in benchmark circuit (AES, SHA, SPI, UART, DMA, RISC-V interface)")
-		noMerge = fs.Bool("no-merge", false, "disable layer merging (keeps the explicit hidden/linear alternation)")
+		merge   = fs.Bool("merge", false, "apply the depth-halving layer merge of Fig. 5 (default: the explicit hidden/linear alternation)")
 		flowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
 		stats   = fs.Bool("stats", false, "print pipeline statistics")
 		check   = fs.Bool("check", false, "run the irlint IR verifier at every stage boundary; fail on error diagnostics")
@@ -154,7 +154,7 @@ func runCompile(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := compile.Options{L: *lutSize, FlowMap: *flowmap, NoMerge: *noMerge}
+	opts := compile.Options{L: *lutSize, FlowMap: *flowmap, Merge: *merge}
 	return compileTo(src, opts, *out, *stats, *check, *aigOut)
 }
 

@@ -162,13 +162,15 @@ func TestCLICompileBytePinned(t *testing.T) {
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		f := strings.Split(line, "\t")
-		if strings.HasPrefix(line, "#") || f[2] == "coalesce16" { // no CLI flag coalesces
+		if strings.HasPrefix(line, "#") || strings.Contains(f[2], "coalesce16") { // no CLI flag coalesces
 			continue
 		}
 		path := filepath.Join(t.TempDir(), "m.c2nn")
 		args := []string{"-circuit", f[0], "-L", f[1], "-o", path}
-		if f[2] == "flowmap" {
-			args = append(args, "-flowmap")
+		for _, word := range strings.Split(f[2], "+") {
+			if word != "default" {
+				args = append(args, "-"+word)
+			}
 		}
 		if out, err := capture(t, func() error { return runCompile(args) }); err != nil {
 			t.Fatalf("%v: %v\n%s", args, err, out)

@@ -18,9 +18,10 @@ import (
 
 // TestCompileEntryPointsBytePinned is the parity battery of the one
 // compile driver: the facade, the irlint checker and the experiment
-// harness must all save byte-identical models, equal to the bytes the
-// last commit before internal/compile produced (testdata/
-// model_sha256.txt; cmd/c2nn pins the CLI path to the same table).
+// harness must all save byte-identical models, equal to the pinned
+// bytes (testdata/model_sha256.txt; cmd/c2nn pins the CLI path to the
+// same table). The "merge" rows were pinned from the merged-network
+// constructor nn.Merge replaced, so they also prove the pass exact.
 func TestCompileEntryPointsBytePinned(t *testing.T) {
 	data, err := os.ReadFile("testdata/model_sha256.txt")
 	if err != nil {
@@ -45,9 +46,19 @@ func TestCompileEntryPointsBytePinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Top: c.Top, L: l, FlowMap: variant == "flowmap"}
-			if variant == "coalesce16" {
-				opts.CoalesceWide = 16
+			opts := Options{Top: c.Top, L: l}
+			for _, word := range strings.Split(variant, "+") {
+				switch word {
+				case "default":
+				case "merge":
+					opts.Merge = true
+				case "flowmap":
+					opts.FlowMap = true
+				case "coalesce16":
+					opts.CoalesceWide = 16
+				default:
+					t.Fatalf("unknown variant word %q", word)
+				}
 			}
 			check := func(entry string, m *Model, err error) {
 				t.Helper()

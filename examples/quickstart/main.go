@@ -44,15 +44,24 @@ func main() {
 	fmt.Printf("mapping: %d LUTs, depth %d (L=%d)\n",
 		len(mapping.Graph.LUTs), mapping.Graph.Depth(), L)
 
-	// 3. Convert each LUT's polynomial into threshold neurons and merge
-	//    layers (paper Fig. 2 + Fig. 5).
-	model, err := nn.Build(netl, mapping, nn.BuildOptions{Merge: true, L: L})
+	// 3. Convert each LUT's polynomial into threshold neurons and an
+	//    exact linear neuron per signal (paper Fig. 2).
+	model, err := nn.Build(netl, mapping, nn.BuildOptions{L: L})
 	if err != nil {
 		log.Fatal(err)
 	}
 	stats := model.Net.ComputeStats()
 	fmt.Printf("network: %d layers, %d connections, mean sparsity %.4f\n",
 		stats.Layers, stats.Connections, stats.MeanSparsity)
+
+	//    Optional: the paper's Fig. 5 pass folds every linear layer into
+	//    the threshold layer that reads it — half the depth, more
+	//    connections. Either model simulates identically below.
+	merged, err := nn.Merge(model)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("merged:  %d layers\n", len(merged.Net.Layers))
 
 	// 4. Simulate a batch of 4 independent stimulus lanes for 5 cycles.
 	eng, err := simengine.New(model, simengine.Options{Batch: 4})

@@ -4,7 +4,8 @@ package c2nn
 // testbenches must report the exact same detected-fault sets on all
 // three execution backends — fault detection is a bit-level diff
 // against the golden lane, so any backend divergence shows up as a
-// detection difference here.
+// detection difference here. The network graded is the canonical one;
+// on uart_smoke.tb its Fig. 5 merge must detect the same set.
 
 import (
 	"os"
@@ -50,7 +51,7 @@ func TestFaultDetectionBackendIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+			model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +108,22 @@ func TestFaultDetectionBackendIdentical(t *testing.T) {
 						t.Errorf("%v activity=%v undetected set differs from %v", prec, activity, backendPrecisions[0])
 					}
 				}
+			}
+			if tb != "uart_smoke.tb" {
+				return
+			}
+			merged, err := nn.Merge(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := fault.Grade(merged, m.Graph, u, script, fault.Config{
+				Precision: backendPrecisions[0], Batch: 32, RandomCycles: 16, Seed: 5,
+			})
+			if err != nil {
+				t.Fatalf("merged: %v", err)
+			}
+			if !reflect.DeepEqual(ref.DetectedFaults, rep.DetectedFaults) {
+				t.Errorf("merged network detects a different set:\n%v\n%v", rep.DetectedFaults, ref.DetectedFaults)
 			}
 		})
 	}

@@ -10,65 +10,50 @@ import (
 )
 
 // runAblations measures the design choices DESIGN.md calls out, each as
-// rows of the two sides keyed by variant ("merged" is the shipped
-// configuration, every other variant changes one choice):
+// rows of the two sides keyed by variant ("unmerged" is the shipped
+// network, "merged" the paper's; every other variant changes one choice
+// of the merged side):
 //
-//   - layer merging (Fig. 5): merged vs unmerged layers and throughput;
-//   - float32 vs int32 vs bit-packed kernels (§V), as backends of merged;
+//   - layer merging (Fig. 5): merged vs unmerged layers, connections
+//     and throughput;
+//   - float32 vs int32 vs bit-packed kernels (§V), as backends of both;
 //   - sparse CSR vs dense matmul on the largest layer (§III-F): spmm vs dense;
 //   - priority-cut vs FlowMap mapping: depth and LUT count, merged vs flowmap;
 //   - wide-gate coalescing (§V): depth and connections, merged vs coalesced;
 //   - baseline engines: scalar vs event vs batch64 gate-level simulators.
 //
-// The unmerged and coalesced builds change one stage of the pipeline, so
-// they call the stage functions directly (DESIGN.md "One driver").
+// One compile serves both sides of Fig. 5: nn.Merge turns the compiled
+// network into the merged one (DESIGN.md "One driver").
 func runAblations(e *Env, out *emitter) error {
 	return e.each(func(c circuits.Circuit, l int) error {
-		merged, err := Compile(c, compile.Options{L: l, Trace: e.Trace})
+		unmerged, err := Compile(c, compile.Options{L: l, Trace: e.Trace})
 		if err != nil {
+			return err
+		}
+		merged := *unmerged
+		if merged.Model, err = nn.Merge(unmerged.Model); err != nil {
 			return err
 		}
 		stim := NewStimulusSet(merged.Netlist, 64, e.Batch, e.Seed)
 		pt := out.at(c.Name, l)
-		gcs := func(m *emitter, res *CompileResult, precs ...simengine.Precision) error {
-			for _, p := range precs {
-				v, err := NNThroughput(res, stim, e.Batch, 0, p, e.MinMeasure, e.Trace)
+		for _, side := range []struct {
+			variant string
+			res     *CompileResult
+		}{{"merged", &merged}, {"unmerged", unmerged}} {
+			m := pt.as(side.variant)
+			m.count("layers", int64(len(side.res.Model.Net.Layers)))
+			m.count("connections", int64(side.res.Model.Net.ComputeStats().Connections))
+			for _, p := range []simengine.Precision{simengine.Float32, simengine.Int32, simengine.BitPacked} {
+				v, err := NNThroughput(side.res, stim, e.Batch, 0, p, e.MinMeasure, e.Trace)
 				if err != nil {
 					return err
 				}
 				m.on(p.String()).put("gcs", v, "g*c/s")
 			}
-			return nil
 		}
-
-		// Shipped configuration: every backend, mapper depth/LUTs, size.
 		m := pt.as("merged")
-		m.count("layers", int64(len(merged.Model.Net.Layers)))
 		m.count("depth", int64(merged.Mapping.Graph.Depth()))
 		m.count("luts", int64(len(merged.Mapping.Graph.LUTs)))
-		m.count("connections", int64(merged.Model.Net.ComputeStats().Connections))
-		if err := gcs(m, merged, simengine.Float32, simengine.Int32, simengine.BitPacked); err != nil {
-			return err
-		}
-
-		// Unmerged (Fig. 5 / §III-D).
-		nlRaw, err := c.Elaborate()
-		if err != nil {
-			return err
-		}
-		mapRaw, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: l})
-		if err != nil {
-			return err
-		}
-		unmergedModel, err := nn.Build(nlRaw, mapRaw, nn.BuildOptions{Merge: false, L: l})
-		if err != nil {
-			return err
-		}
-		u := pt.as("unmerged")
-		u.count("layers", int64(len(unmergedModel.Net.Layers)))
-		if err := gcs(u, &CompileResult{Circuit: c, Model: unmergedModel}, simengine.Float32); err != nil {
-			return err
-		}
 
 		// Sparse vs dense matmul on the largest layer (§III-F).
 		var big *tensor.CSR
@@ -96,7 +81,7 @@ func runAblations(e *Env, out *emitter) error {
 		pt.as("dense").dur("pass_ns", dn.per())
 
 		// Priority cuts vs FlowMap.
-		mFlow, err := lutmap.MapNetlist(nlRaw, lutmap.Options{K: l, Algorithm: lutmap.FlowMap})
+		mFlow, err := lutmap.MapNetlist(merged.Netlist, lutmap.Options{K: l, Algorithm: lutmap.FlowMap})
 		if err != nil {
 			return err
 		}
@@ -105,19 +90,13 @@ func runAblations(e *Env, out *emitter) error {
 		f.count("luts", int64(len(mFlow.Graph.LUTs)))
 
 		// Wide-gate coalescing (§V known-function polynomials).
-		coalesced, err := lutmap.Coalesce(merged.Mapping.Graph, 16)
-		if err != nil {
-			return err
-		}
-		cModel, err := nn.Build(merged.Netlist, &lutmap.Mapping{
-			Graph: coalesced, PINets: merged.Mapping.PINets, OutputNets: merged.Mapping.OutputNets,
-		}, nn.BuildOptions{Merge: true, L: l})
+		coalesced, err := Compile(c, compile.Options{L: l, CoalesceWide: 16, Merge: true, Trace: e.Trace})
 		if err != nil {
 			return err
 		}
 		co := pt.as("coalesced")
-		co.count("depth", int64(coalesced.Depth()))
-		co.count("connections", int64(cModel.Net.ComputeStats().Connections))
+		co.count("depth", int64(coalesced.Mapping.Graph.Depth()))
+		co.count("connections", int64(coalesced.Model.Net.ComputeStats().Connections))
 
 		// Baseline engine family.
 		g := pt.on(gateSim)

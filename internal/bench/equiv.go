@@ -19,10 +19,8 @@ func runEquiv(e *Env, out *emitter) error {
 		e.logf("equiv: %s L=%d", c.Name, l)
 		var res *equiv.Result
 		t, err := measure(0, func() (err error) {
-			// The merged network build is minutes-scale at L=11; the
-			// chain proof is equally valid on the unmerged model.
 			res, err = equiv.ProveSource(compile.FromCircuit(c),
-				compile.Options{L: l, NoMerge: l > 7, Trace: e.Trace}, equiv.Options{Trace: e.Trace})
+				compile.Options{L: l, Trace: e.Trace}, equiv.Options{Trace: e.Trace})
 			return err
 		})
 		if err != nil {

@@ -47,12 +47,13 @@ func runFig4(e *Env, out *emitter) error {
 }
 
 // runFig6 regenerates both panels of Fig. 6: the circuit (the paper's
-// subject is UART) compiled at each L, reporting NN shape and
-// single-stimulus simulation time with every worker (the "GPU"
-// analogue, top panel) and with one worker (CPU, bottom panel).
+// subject is UART) compiled at each L into the merged network the
+// figure plots, reporting NN shape and single-stimulus simulation time
+// with every worker (the "GPU" analogue, top panel) and with one worker
+// (CPU, bottom panel).
 func runFig6(e *Env, out *emitter) error {
 	return e.each(func(c circuits.Circuit, l int) error {
-		res, err := Compile(c, compile.Options{L: l, Trace: e.Trace})
+		res, err := Compile(c, compile.Options{L: l, Merge: true, Trace: e.Trace})
 		if err != nil {
 			return err
 		}

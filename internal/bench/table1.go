@@ -15,7 +15,8 @@ const gateSim = "gatesim"
 
 // runTable1 regenerates Table I: per circuit the Verilog size and the
 // scalar gate-level baseline (the Verilator stand-in), and per L the NN
-// generation time, model shape, and float32 / bit-packed throughput.
+// generation time, model shape, and float32 / bit-packed throughput of
+// the paper's merged network (Fig. 5).
 func runTable1(e *Env, out *emitter) error {
 	var (
 		stim     *StimulusSet
@@ -23,7 +24,7 @@ func runTable1(e *Env, out *emitter) error {
 		prev     string
 	)
 	return e.each(func(c circuits.Circuit, l int) error {
-		res, err := Compile(c, compile.Options{L: l, Trace: e.Trace})
+		res, err := Compile(c, compile.Options{L: l, Merge: true, Trace: e.Trace})
 		if err != nil {
 			return err
 		}

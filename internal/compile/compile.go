@@ -23,7 +23,7 @@ import (
 )
 
 // Options tunes the stages. The zero value means L = 7, priority-cuts
-// mapping, no coalescing, layer merging on, no tracing.
+// mapping, no coalescing, no layer merging, no tracing.
 type Options struct {
 	// L is the LUT size hyperparameter. Larger L gives shallower
 	// networks with exponentially more connections (§III-B1).
@@ -33,11 +33,12 @@ type Options struct {
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
 	// wide LUTs of up to this many inputs after mapping (§V).
 	CoalesceWide int
-	// NoMerge disables the depth-halving layer merge of §III-D.
-	NoMerge bool
+	// Merge applies the depth-halving layer merge of §III-D (Fig. 5)
+	// to the built network.
+	Merge bool
 	// Trace, when non-nil, records one span per stage (compile, parse,
 	// elaborate, lutmap, aig, cuts, tables, normalize, coalesce, nn,
-	// poly, network) with IR-size attributes.
+	// poly, network, merge) with IR-size attributes.
 	Trace *obs.Trace
 }
 
@@ -164,9 +165,19 @@ func (res *Result) walk(src Source, opts Options, after func(Stage, *Result) err
 	}
 	res.AIG, res.AIGOuts = nil, nil
 
-	res.Model, err = nn.Build(nl, res.Mapping, nn.BuildOptions{Merge: !opts.NoMerge, L: opts.L, BuildTrace: tr})
+	res.Model, err = nn.Build(nl, res.Mapping, nn.BuildOptions{L: opts.L, BuildTrace: tr})
 	if err != nil {
 		return err
+	}
+	if opts.Merge {
+		gsp := tr.Begin("merge")
+		before := res.Model.Net.ComputeStats()
+		if res.Model, err = nn.Merge(res.Model); err != nil {
+			return err
+		}
+		after := res.Model.Net.ComputeStats()
+		gsp.SetInt("rows_before", int64(before.Neurons)).SetInt("rows", int64(after.Neurons)).
+			SetInt("nnz_before", int64(before.Connections)).SetInt("nnz", int64(after.Connections)).End()
 	}
 	return boundary(StageModel)
 }

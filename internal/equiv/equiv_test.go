@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"fmt"
 	"testing"
 
 	"c2nn/internal/aig"
@@ -26,13 +27,21 @@ func stages(t *testing.T, name string, l int) (*netlist.Netlist, *aig.AIG, []aig
 }
 
 // TestProveUART is the fast end-to-end check: every stage miter UNSAT,
-// every per-LUT chain row verified, no pair abandoned by the sweep.
+// every per-LUT chain row verified, no pair abandoned by the sweep —
+// on the canonical network and on the merged one, whose chain branch
+// is the proof that nn.Merge is exact.
 func TestProveUART(t *testing.T) {
+	for _, merge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("merge=%v", merge), func(t *testing.T) { proveUART(t, merge) })
+	}
+}
+
+func proveUART(t *testing.T, merge bool) {
 	src, err := compile.Builtin("UART")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ProveSource(src, compile.Options{L: 4}, Options{})
+	res, err := ProveSource(src, compile.Options{L: 4, Merge: merge}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +78,7 @@ func TestProveUART(t *testing.T) {
 }
 
 // TestProveMatrix proves the full benchmark suite at every paper LUT
-// size — the static twin of the dynamic simengine.Verify sweep. The
-// merged network build is minutes-scale at L=11, so the chain runs on
-// the unmerged model there; the miters are unaffected (they read the
-// LUT graph, not the network).
+// size — the static twin of the dynamic simengine.Verify sweep.
 func TestProveMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("minutes-scale SAT matrix")
@@ -82,7 +88,7 @@ func TestProveMatrix(t *testing.T) {
 	}
 	for _, c := range circuits.All() {
 		for _, l := range []int{4, 7, 11} {
-			res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: l, NoMerge: l > 7}, Options{})
+			res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: l}, Options{})
 			if err != nil {
 				t.Fatalf("%s L=%d: %v", c.Name, l, err)
 			}
@@ -94,6 +100,14 @@ func TestProveMatrix(t *testing.T) {
 				}
 				t.Fatalf("%s L=%d not equivalent", c.Name, l)
 			}
+		}
+		// The chain's merged branch, on every circuit where it is cheap.
+		res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: 4, Merge: true}, Options{})
+		if err != nil {
+			t.Fatalf("%s L=4 merged: %v", c.Name, err)
+		}
+		if !res.Equivalent {
+			t.Fatalf("%s L=4 merged not equivalent: %+v", c.Name, res.Chain)
 		}
 	}
 }

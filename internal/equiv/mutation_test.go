@@ -8,6 +8,7 @@ import (
 	"c2nn/internal/fault"
 	"c2nn/internal/gatesim"
 	"c2nn/internal/lutmap"
+	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
 	"c2nn/internal/raceflag"
 	"c2nn/internal/simengine"
@@ -201,6 +202,16 @@ func TestMutationDetection(t *testing.T) {
 	}
 }
 
+// mergedModel is the Fig. 5 network of a mapping at L=4, the form the
+// counterexample replays run on.
+func mergedModel(nl *netlist.Netlist, m *lutmap.Mapping) (*nn.Model, error) {
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
+	if err != nil {
+		return nil, err
+	}
+	return nn.Merge(model)
+}
+
 // TestCexRoundTrip renders miter counterexamples as .tb scripts and
 // replays them: the gate-level reference simulator must accept every
 // script (the expectations are computed from the netlist), the network
@@ -212,7 +223,7 @@ func TestCexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodModel, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+	goodModel, err := mergedModel(nl, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +272,7 @@ func TestCexRoundTrip(t *testing.T) {
 			t.Errorf("%s: true network rejected the cex: %v", mu.name, err)
 		}
 		// The mutant network must diverge exactly where the miter said.
-		badModel, err := nn.Build(nl, &mm, nn.BuildOptions{Merge: true, L: 4})
+		badModel, err := mergedModel(nl, &mm)
 		if err != nil {
 			t.Fatalf("%s: building mutant network: %v", mu.name, err)
 		}

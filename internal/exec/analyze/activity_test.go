@@ -14,7 +14,7 @@ import (
 // the wipe rewrote every intermediate value behind the root diff's
 // back (the same invalidation the backend performs).
 func TestProbeResetReentersAllDirty(t *testing.T) {
-	model, _ := compilePlan(t, 4, true)
+	model, _ := compilePlan(t, 4, false)
 	eng, err := simengine.New(model, simengine.Options{Batch: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestProbeResetReentersAllDirty(t *testing.T) {
 // PokeUnit advances the engine's state generation, so the next sample
 // counts everything dirty.
 func TestProbePokeReentersAllDirty(t *testing.T) {
-	model, _ := compilePlan(t, 4, true)
+	model, _ := compilePlan(t, 4, false)
 	eng, err := simengine.New(model, simengine.Options{Batch: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestProbePokeReentersAllDirty(t *testing.T) {
 // both when no metadata is attached and when the attached metadata has
 // zero clusters — never with a panic.
 func TestProbeNoClustersTypedError(t *testing.T) {
-	model, _ := compilePlan(t, 4, true)
+	model, _ := compilePlan(t, 4, false)
 	eng, err := simengine.New(model, simengine.Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestProbeNoClustersTypedError(t *testing.T) {
 // profile table: a port driven every step tops the list, and forced
 // all-dirty steps (the first sample) are not counted as toggles.
 func TestProbeRootToggles(t *testing.T) {
-	model, _ := compilePlan(t, 4, true)
+	model, _ := compilePlan(t, 4, false)
 	eng, err := simengine.New(model, simengine.Options{Batch: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,14 @@ func buildModel(t *testing.T, k int, merge bool) *nn.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if merge {
+		if model, err = nn.Merge(model); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return model
 }
@@ -160,7 +165,7 @@ func TestAliasingCatchesCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, p := compilePlan(t, 4, true)
+			_, p := compilePlan(t, 4, false)
 			if !tc.mutate(p) {
 				t.Skip("plan shape does not admit this mutation")
 			}
@@ -195,7 +200,7 @@ func TestAliasingCleanAcrossShapes(t *testing.T) {
 // TestClusterRoundTrip pins serialization: write → read yields an equal
 // clustering, and recompiling the same circuit yields identical bytes.
 func TestClusterRoundTrip(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	meta, err := Cones(p)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +217,7 @@ func TestClusterRoundTrip(t *testing.T) {
 		t.Fatal("cluster metadata did not round-trip")
 	}
 
-	_, p2 := compilePlan(t, 4, true)
+	_, p2 := compilePlan(t, 4, false)
 	meta2, err := Cones(p2)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +236,7 @@ func TestClusterRoundTrip(t *testing.T) {
 func TestClusterLintCatchesCorruption(t *testing.T) {
 	newMeta := func(t *testing.T) (*plan.Plan, *plan.ClusterMeta) {
 		t.Helper()
-		_, p := compilePlan(t, 4, true)
+		_, p := compilePlan(t, 4, false)
 		meta, err := Cones(p)
 		if err != nil {
 			t.Fatal(err)
@@ -366,7 +371,7 @@ func TestClassifyRow(t *testing.T) {
 // TestDegenerateLint forces a constant threshold row and requires
 // PA006.
 func TestDegenerateLint(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	li := -1
 	for i := range p.Layers {
 		if !p.Layers[i].Linear() {
@@ -456,7 +461,7 @@ func TestClusterCostPartition(t *testing.T) {
 // all-dirty sample, nothing toggles, so every later step is fully
 // clean.
 func TestProbe(t *testing.T) {
-	model, _ := compilePlan(t, 4, true)
+	model, _ := compilePlan(t, 4, false)
 	eng, err := simengine.New(model, simengine.Options{Batch: 2})
 	if err != nil {
 		t.Fatal(err)

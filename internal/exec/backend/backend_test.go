@@ -34,9 +34,14 @@ func compilePlan(t *testing.T, k int, merge bool) (*nn.Model, *plan.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if merge {
+		if model, err = nn.Merge(model); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p, err := plan.Compile(model)
 	if err != nil {
@@ -48,7 +53,7 @@ func compilePlan(t *testing.T, k int, merge bool) (*nn.Model, *plan.Plan) {
 // TestLaneAccessors checks Set/Get/SetUniform/Copy/Zero roundtrips on
 // every substrate, including partial last words for the packed one.
 func TestLaneAccessors(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	for _, kind := range Kinds() {
 		for _, batch := range []int{1, 5, 64, 67} {
 			be, err := New(kind, p, batch, nil, nil)

@@ -100,7 +100,7 @@ func TestActivityIndexRejectsAliasedArena(t *testing.T) {
 // usable cluster metadata: an attached but empty clustering must be
 // refused with ErrNoClusters rather than building an empty index.
 func TestActivityIndexNoClusters(t *testing.T) {
-	model := buildModel(t, 4, true)
+	model := buildModel(t, 4, false)
 	p, err := CompileOpts(model, Options{DisableArenaReuse: true})
 	if err != nil {
 		t.Fatal(err)

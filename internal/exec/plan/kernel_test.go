@@ -9,8 +9,8 @@ import (
 // TestBuildGroupsDeterministic compiles the same model twice and
 // requires bit-identical kernel IR: group order, rows and tables.
 func TestBuildGroupsDeterministic(t *testing.T) {
-	_, p1 := compilePlan(t, 4, true)
-	_, p2 := compilePlan(t, 4, true)
+	_, p1 := compilePlan(t, 4, false)
+	_, p2 := compilePlan(t, 4, false)
 	if len(p1.Layers) != len(p2.Layers) {
 		t.Fatal("layer count differs between compiles")
 	}
@@ -67,7 +67,7 @@ func TestGroupsPartitionRows(t *testing.T) {
 // TestRowTableMatchesWeights re-derives each selected truth table by
 // brute-force enumeration of the row's weight/threshold form.
 func TestRowTableMatchesWeights(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	tables := 0
 	for li := range p.Layers {
 		l := &p.Layers[li]
@@ -138,7 +138,7 @@ func popcnt6(i int) int {
 // TestKernelIRRoundTrip serializes and reloads the kernel IR and
 // requires bit-identical groups.
 func TestKernelIRRoundTrip(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	var buf bytes.Buffer
 	n, err := p.WriteKernelIR(&buf)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestKernelIRRoundTrip(t *testing.T) {
 // TestKernelIRRejectsCorruption checks the reader refuses bad magic and
 // out-of-range kinds.
 func TestKernelIRRejectsCorruption(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	var buf bytes.Buffer
 	if _, err := p.WriteKernelIR(&buf); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestKernelIRRejectsCorruption(t *testing.T) {
 
 // TestKernelMixTotals requires the plan-wide mix to tally every row.
 func TestKernelMixTotals(t *testing.T) {
-	_, p := compilePlan(t, 4, true)
+	_, p := compilePlan(t, 4, false)
 	mix := p.KernelMix()
 	total := 0
 	for _, n := range mix {

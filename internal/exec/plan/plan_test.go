@@ -34,9 +34,14 @@ func buildModel(t *testing.T, k int, merge bool) *nn.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if merge {
+		if model, err = nn.Merge(model); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return model
 }
@@ -302,7 +307,7 @@ func TestLintCatchesCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, p := compilePlan(t, 4, true)
+			_, p := compilePlan(t, 4, false)
 			if !tc.mutate(p) {
 				t.Skip("plan shape does not admit this mutation")
 			}

@@ -166,7 +166,7 @@ func TestConstLUTStatuses(t *testing.T) {
 	}
 }
 
-// compile elaborates Verilog, maps it at K=4 and builds a merged model.
+// compile elaborates Verilog, maps it at K=4 and builds the model.
 func compile(t *testing.T, top, src string) (*netlist.Netlist, *lutmap.Mapping, *nn.Model) {
 	t.Helper()
 	nl, err := synth.ElaborateSource(top, map[string]string{top + ".v": src})
@@ -177,11 +177,35 @@ func compile(t *testing.T, top, src string) (*netlist.Netlist, *lutmap.Mapping, 
 	if err != nil {
 		t.Fatalf("map: %v", err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	return nl, m, model
+}
+
+// formPrec is one configuration fault injection must agree across.
+type formPrec struct {
+	model *nn.Model
+	prec  simengine.Precision
+}
+
+// formsAndPrecisions crosses the model and its Fig. 5 merge with every
+// backend: the overlay reads a materialised signal unit in the one and
+// a term-unit value form in the other.
+func formsAndPrecisions(t *testing.T, model *nn.Model) []formPrec {
+	t.Helper()
+	merged, err := nn.Merge(model)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	var out []formPrec
+	for _, m := range []*nn.Model{model, merged} {
+		for _, prec := range precisions {
+			out = append(out, formPrec{m, prec})
+		}
+	}
+	return out
 }
 
 // evalFaulty evaluates the graph with one fault injected, returning the
@@ -221,7 +245,8 @@ func evalFaulty(g *lutmap.Graph, pis []bool, f Fault) []bool {
 // TestInjectionMatchesFaultyEval is the core correctness check: for a
 // combinational circuit, every simulated fault class injected through
 // the overlay must make the engine's faulty lane reproduce a direct
-// evaluation of the faulted LUT graph — on all three backends.
+// evaluation of the faulted LUT graph — on all three backends, on the
+// canonical and the merged network.
 func TestInjectionMatchesFaultyEval(t *testing.T) {
 	const src = `module fcomb(input [3:0] a, input [3:0] b, output [3:0] x, output [3:0] y);
   wire [3:0] tt;
@@ -230,7 +255,7 @@ func TestInjectionMatchesFaultyEval(t *testing.T) {
   assign y = tt | (a ^ b);
 endmodule
 `
-	nl, m, model := compile(t, "fcomb", src)
+	nl, m, canonical := compile(t, "fcomb", src)
 	g := m.Graph
 	u := Enumerate(g, 0)
 	sims := u.SimulatedClasses()
@@ -247,7 +272,8 @@ endmodule
 	}
 
 	const batch = 8
-	for _, prec := range precisions {
+	for _, cfg := range formsAndPrecisions(t, canonical) {
+		model, prec := cfg.model, cfg.prec
 		eng, err := simengine.New(model, simengine.Options{
 			Batch: batch, Precision: prec, KeepAllActivations: true,
 		})
@@ -299,8 +325,8 @@ endmodule
 						}
 						for i, bit := range got {
 							if w := want[outIdx[out.Bits[i]]]; bit != w {
-								t.Fatalf("%v lane %d fault %s vec %d: %s[%d] = %v, want %v",
-									prec, lane, f, vec, out.Name, i, bit, w)
+								t.Fatalf("%v merged=%v lane %d fault %s vec %d: %s[%d] = %v, want %v",
+									prec, model.Merged, lane, f, vec, out.Name, i, bit, w)
 							}
 						}
 					}
@@ -325,7 +351,8 @@ endmodule
 `
 
 // TestGradeSequential grades a sequential counter with random stimuli
-// and checks the report arithmetic plus backend-identical detection.
+// and checks the report arithmetic plus identical detection on every
+// backend and in both network forms.
 func TestGradeSequential(t *testing.T) {
 	_, m, model := compile(t, "ctr", counterSrc)
 	u := Enumerate(m.Graph, len(model.Feedback))
@@ -337,7 +364,8 @@ func TestGradeSequential(t *testing.T) {
 	}
 
 	var detected [][]string
-	for _, prec := range precisions {
+	for _, cfg := range formsAndPrecisions(t, model) {
+		model, prec := cfg.model, cfg.prec
 		rep, err := Grade(model, m.Graph, u, nil, Config{
 			Precision: prec, Batch: 16, RandomCycles: 64, Seed: 11,
 		})
@@ -358,8 +386,8 @@ func TestGradeSequential(t *testing.T) {
 	}
 	for i := 1; i < len(detected); i++ {
 		if !reflect.DeepEqual(detected[0], detected[i]) {
-			t.Errorf("detected sets differ between %v and %v:\n%v\n%v",
-				precisions[0], precisions[i], detected[0], detected[i])
+			t.Errorf("detected sets differ between configurations 0 and %d:\n%v\n%v",
+				i, detected[0], detected[i])
 		}
 	}
 }

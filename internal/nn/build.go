@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"c2nn/internal/lutmap"
 	"c2nn/internal/netlist"
@@ -14,9 +13,9 @@ import (
 
 // BuildOptions configures network construction.
 type BuildOptions struct {
-	// Merge enables the depth-halving layer fusion of §III-D (Fig. 5).
-	// Disabled it keeps the explicit hidden/linear alternation, which
-	// the merged-vs-unmerged ablation benchmark measures.
+	// Merge is ignored: the Fig. 5 fusion is the Merge pass. The field
+	// remains because the frozen benchmark/setup.go sets it and requires
+	// the model it gets back to equal the facade's default byte for byte.
 	Merge bool
 	// L records the LUT size used during mapping (Table I column).
 	L int
@@ -27,9 +26,10 @@ type BuildOptions struct {
 	BuildTrace *obs.Trace
 }
 
-// Build converts a mapped circuit into its neural-network model. The
-// netlist supplies port names, flip-flop wiring and the gate count used
-// by the throughput metric.
+// Build converts a mapped circuit into its neural-network model, the
+// explicit Fig. 2 alternation of term layers and exact linear layers.
+// The netlist supplies port names, flip-flop wiring and the gate count
+// used by the throughput metric.
 func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, error) {
 	bsp := opts.BuildTrace.Begin("nn")
 	defer bsp.End()
@@ -61,14 +61,7 @@ func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, e
 		byLevel[l] = append(byLevel[l], u)
 	}
 
-	var net *Network
-	var tr *Trace
-	var err error
-	if opts.Merge {
-		net, tr, err = buildMerged(g, polys, byLevel)
-	} else {
-		net, tr, err = buildUnmerged(g, polys, byLevel)
-	}
+	net, tr, err := buildNetwork(g, polys, byLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -81,170 +74,29 @@ func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, e
 		CircuitName: nl.Name,
 		L:           opts.L,
 		GateCount:   int64(nl.GateCount()),
-		Merged:      opts.Merge,
 		Trace:       tr,
 	}
 	if err := bindPorts(model, nl, m); err != nil {
 		return nil, err
 	}
-	if opts.BuildTrace != nil {
-		var nnz int64
-		for li := range net.Layers {
-			nnz += int64(len(net.Layers[li].W.Val))
-		}
-		nsp.SetInt("layers", int64(len(net.Layers))).
-			SetInt("neurons", int64(net.TotalUnits)).
-			SetInt("nnz", nnz)
-	}
+	nsp.SetInt("layers", int64(len(net.Layers))).
+		SetInt("neurons", int64(net.TotalUnits)).
+		SetInt("nnz", int64(net.ComputeStats().Connections))
 	return model, nil
 }
 
-// linform is the exact linear form of a signal over existing units:
-// value = cst + Σ coeff·unit.
-type linform struct {
-	cst   int32
-	units []int32
-	coefs []int32
-}
-
-// rowAccum builds one sparse row by accumulating integer coefficients.
-type rowAccum struct {
-	coef map[int32]int32
-}
-
-func (r *rowAccum) add(unit, c int32) {
-	if r.coef == nil {
-		r.coef = make(map[int32]int32)
-	}
-	r.coef[unit] += c
-	if r.coef[unit] == 0 {
-		delete(r.coef, unit)
-	}
-}
-
-func (r *rowAccum) emit(row int32, entries *[]tensor.Triple) {
-	// Ascending unit order: FromTriples preserves insertion order within
-	// a row, so emitting in map order would make the CSR layout — and
-	// every downstream plan and report — vary from run to run.
-	units := make([]int32, 0, len(r.coef))
-	for unit := range r.coef {
-		units = append(units, unit)
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	for _, unit := range units {
-		*entries = append(*entries, tensor.Triple{Row: row, Col: unit, Val: float32(r.coef[unit])})
-	}
-}
-
-// buildMerged constructs the depth-halved network: one threshold layer
-// per computation-graph level (rows are polynomial terms, with each
-// input's exact linear form substituted in — the weight product of
-// Fig. 5) plus one final exact linear output layer.
-func buildMerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Network, *Trace, error) {
-	net := &Network{NumPIs: g.NumPIs}
-	units := int32(1 + g.NumPIs)
-	lf := make([]linform, len(g.LUTs))
-	tr := newTrace(g, byLevel)
-
-	for level := 1; level < len(byLevel); level++ {
-		luts := byLevel[level]
-		if len(luts) == 0 {
-			continue
-		}
-		segStart := units
-		var entries []tensor.Triple
-		var biases []float32
-		row := int32(0)
-		for _, u := range luts {
-			p := polys[u]
-			ins := g.LUTs[u].Ins
-			terms := p.NonConstTerms()
-			termUnits := make([]int32, len(terms))
-			for ti, term := range terms {
-				var acc rowAccum
-				var constSum int32
-				size := int32(bits.OnesCount32(term.Mask))
-				for v := 0; v < p.NumVars; v++ {
-					if term.Mask>>uint(v)&1 == 0 {
-						continue
-					}
-					ref := ins[v]
-					if ref.IsPI() {
-						acc.add(PIUnit(ref.PI()), 1)
-						continue
-					}
-					f := &lf[ref.LUT()]
-					constSum += f.cst
-					for k, unit := range f.units {
-						acc.add(unit, f.coefs[k])
-					}
-				}
-				acc.emit(row, &entries)
-				biases = append(biases, float32(size-1-constSum))
-				termUnits[ti] = segStart + row
-				row++
-			}
-			f := linform{cst: p.ConstTerm()}
-			for ti, term := range terms {
-				f.units = append(f.units, termUnits[ti])
-				f.coefs = append(f.coefs, term.Coeff)
-			}
-			lf[u] = f
-			lt := &tr.LUTs[u]
-			lt.TermUnits = termUnits
-			lt.TermMasks = termMasks(terms)
-			lt.Cst = f.cst
-			lt.VUnits = f.units
-			lt.VCoefs = f.coefs
-		}
-		w, err := tensor.FromTriples(int(row), int(segStart), entries)
-		if err != nil {
-			return nil, nil, err
-		}
-		net.Layers = append(net.Layers, Layer{W: w, Bias: biases, Threshold: true})
-		net.SegStart = append(net.SegStart, segStart)
-		tr.LayerOfLevel[level] = int32(len(net.Layers) - 1)
-		units += row
-	}
-
-	// Final exact linear layer: one output neuron per combinational
-	// output; no bias or threshold (§III-B3).
-	segStart := units
-	var entries []tensor.Triple
-	for j, ref := range g.Outputs {
-		row := int32(j)
-		if ref.IsPI() {
-			entries = append(entries, tensor.Triple{Row: row, Col: PIUnit(ref.PI()), Val: 1})
-			continue
-		}
-		f := &lf[ref.LUT()]
-		if f.cst != 0 {
-			entries = append(entries, tensor.Triple{Row: row, Col: ConstUnit, Val: float32(f.cst)})
-		}
-		for k, unit := range f.units {
-			entries = append(entries, tensor.Triple{Row: row, Col: unit, Val: float32(f.coefs[k])})
-		}
-	}
-	w, err := tensor.FromTriples(len(g.Outputs), int(segStart), entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	net.Layers = append(net.Layers, Layer{W: w, Threshold: false})
-	net.SegStart = append(net.SegStart, segStart)
-	units += int32(len(g.Outputs))
-	net.TotalUnits = int(units)
-	return net, tr, nil
-}
-
-// buildUnmerged constructs the explicit Fig. 2 alternation: a threshold
+// buildNetwork constructs the explicit Fig. 2 alternation: a threshold
 // hidden layer (terms, unit weights, bias |S|−1) followed by an exact
 // linear layer materialising each LUT's signal, per level, plus the
-// output layer. Twice the depth of the merged network (§III-D).
-func buildUnmerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Network, *Trace, error) {
+// output layer.
+func buildNetwork(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Network, *Trace, error) {
 	net := &Network{NumPIs: g.NumPIs}
 	units := int32(1 + g.NumPIs)
 	signalUnit := make([]int32, len(g.LUTs))
-	tr := newTrace(g, byLevel)
+	tr := &Trace{LayerOfLevel: make([]int32, len(byLevel)), LUTs: make([]LUTTrace, len(g.LUTs))}
+	for l := range tr.LayerOfLevel {
+		tr.LayerOfLevel[l] = -1 // until a layer is built for the level
+	}
 
 	refUnit := func(r lutmap.NodeRef) int32 {
 		if r.IsPI() {
@@ -263,12 +115,13 @@ func buildUnmerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Networ
 		var hidEntries []tensor.Triple
 		var biases []float32
 		hidRow := int32(0)
-		termUnits := make(map[int][]int32, len(luts))
 		for _, u := range luts {
 			p := polys[u]
 			ins := g.LUTs[u].Ins
 			terms := p.NonConstTerms()
-			tu := make([]int32, len(terms))
+			lt := &tr.LUTs[u]
+			lt.Level = int32(level)
+			lt.TermUnits, lt.TermMasks = make([]int32, len(terms)), make([]uint32, len(terms))
 			for ti, term := range terms {
 				size := int32(bits.OnesCount32(term.Mask))
 				for v := 0; v < p.NumVars; v++ {
@@ -278,12 +131,9 @@ func buildUnmerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Networ
 					}
 				}
 				biases = append(biases, float32(size-1))
-				tu[ti] = hidStart + hidRow
+				lt.TermUnits[ti], lt.TermMasks[ti] = hidStart+hidRow, term.Mask
 				hidRow++
 			}
-			termUnits[u] = tu
-			tr.LUTs[u].TermUnits = tu
-			tr.LUTs[u].TermMasks = termMasks(terms)
 		}
 		hw, err := tensor.FromTriples(int(hidRow), int(hidStart), hidEntries)
 		if err != nil {
@@ -305,13 +155,10 @@ func buildUnmerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Networ
 			}
 			for ti, term := range p.NonConstTerms() {
 				linEntries = append(linEntries, tensor.Triple{
-					Row: row, Col: termUnits[u][ti], Val: float32(term.Coeff)})
+					Row: row, Col: tr.LUTs[u].TermUnits[ti], Val: float32(term.Coeff)})
 			}
 			signalUnit[u] = linStart + row
-			lt := &tr.LUTs[u]
-			lt.Cst = 0
-			lt.VUnits = []int32{signalUnit[u]}
-			lt.VCoefs = []int32{1}
+			tr.LUTs[u].VUnits, tr.LUTs[u].VCoefs = []int32{signalUnit[u]}, []int32{1}
 		}
 		lw, err := tensor.FromTriples(len(luts), int(linStart), linEntries)
 		if err != nil {
@@ -337,33 +184,6 @@ func buildUnmerged(g *lutmap.Graph, polys []poly.Poly, byLevel [][]int) (*Networ
 	units += int32(len(g.Outputs))
 	net.TotalUnits = int(units)
 	return net, tr, nil
-}
-
-// newTrace allocates the provenance record with per-LUT levels filled
-// in and every level layer unknown.
-func newTrace(g *lutmap.Graph, byLevel [][]int) *Trace {
-	tr := &Trace{
-		LayerOfLevel: make([]int32, len(byLevel)),
-		LUTs:         make([]LUTTrace, len(g.LUTs)),
-	}
-	for l := range tr.LayerOfLevel {
-		tr.LayerOfLevel[l] = -1
-	}
-	for level, luts := range byLevel {
-		for _, u := range luts {
-			tr.LUTs[u].Level = int32(level)
-		}
-	}
-	return tr
-}
-
-// termMasks extracts the variable-set masks of the non-constant terms.
-func termMasks(terms []poly.Term) []uint32 {
-	masks := make([]uint32, len(terms))
-	for i, t := range terms {
-		masks[i] = t.Mask
-	}
-	return masks
 }
 
 // bindPorts fills the model's port maps and flip-flop feedback from the

@@ -3,10 +3,11 @@ package nn
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 
 	"c2nn/internal/tensor"
 )
@@ -103,142 +104,108 @@ func boolU32(b bool) uint32 {
 	return 0
 }
 
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
+// ErrFormat is wrapped by every error Load returns: the input is not a
+// well-formed model file, or could not be read to its end.
+var ErrFormat = errors.New("nn: malformed model file")
 
-	var firstErr error
-	ru32 := func() uint32 {
-		var v uint32
-		if err := binary.Read(br, le, &v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
-	ri32 := func() int32 { return int32(ru32()) }
-	rstr := func() string {
-		n := ru32()
-		if firstErr != nil || n > 1<<20 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nn: unreasonable string length %d", n)
-			}
-			return ""
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return string(buf)
-	}
-	const maxElems = 1 << 28
-	ri32s := func() []int32 {
-		n := ru32()
-		if firstErr != nil || n > maxElems {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nn: unreasonable array length %d", n)
-			}
-			return nil
-		}
-		v := make([]int32, n)
-		if err := binary.Read(br, le, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
-	rf32s := func() []float32 {
-		n := ru32()
-		if firstErr != nil || n > maxElems {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nn: unreasonable array length %d", n)
-			}
-			return nil
-		}
-		if n == 0 {
-			return nil
-		}
-		v := make([]float32, n)
-		if err := binary.Read(br, le, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
+// reader decodes the little-endian sections of a model file. The first
+// error sticks; every later read returns zero values.
+type reader struct {
+	r   io.Reader
+	err error
+}
 
-	if ru32() != magic {
-		return nil, fmt.Errorf("nn: bad magic (not a C2NN model file)")
+func (r *reader) read(v any) {
+	if r.err == nil {
+		r.err = binary.Read(r.r, binary.LittleEndian, v)
 	}
-	if v := ru32(); v != version {
-		return nil, fmt.Errorf("nn: unsupported model version %d", v)
-	}
-	m := &Model{}
-	m.CircuitName = rstr()
-	m.L = int(ri32())
-	if err := binary.Read(br, le, &m.GateCount); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	m.Merged = ru32() == 1
+}
 
-	n := &Network{}
-	n.NumPIs = int(ri32())
-	n.TotalUnits = int(ri32())
-	numLayers := ru32()
-	if numLayers > 1<<24 {
-		return nil, fmt.Errorf("nn: unreasonable layer count %d", numLayers)
-	}
-	for i := uint32(0); i < numLayers; i++ {
-		seg := ri32()
-		thr := ru32() == 1
-		rows := int(ri32())
-		cols := int(ri32())
-		w := &struct {
-			RowPtr []int32
-			Col    []int32
-			Val    []float32
-		}{ri32s(), ri32s(), rf32s()}
-		bias := rf32s()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		layer := Layer{Threshold: thr, Bias: bias}
-		layer.W = &tensor.CSR{Rows: rows, Cols: cols, RowPtr: w.RowPtr, Col: w.Col, Val: w.Val}
-		if layer.W.Val == nil {
-			layer.W.Val = []float32{}
-		}
-		n.Layers = append(n.Layers, layer)
-		n.SegStart = append(n.SegStart, seg)
-	}
+func (r *reader) u32() uint32 {
+	var v uint32
+	r.read(&v)
+	return v
+}
 
-	rports := func() []PortMap {
-		cnt := ru32()
-		if cnt > 1<<20 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nn: unreasonable port count %d", cnt)
-			}
-			return nil
-		}
-		out := make([]PortMap, 0, cnt)
-		for i := uint32(0); i < cnt; i++ {
-			out = append(out, PortMap{Name: rstr(), Units: ri32s()})
-		}
-		return out
+// count reads a length prefix and rejects one above max.
+func (r *reader) count(what string, max uint32) int {
+	n := r.u32()
+	if r.err == nil && n > max {
+		r.err = fmt.Errorf("nn: unreasonable %s %d", what, n)
 	}
-	m.Inputs = rports()
-	m.Outputs = rports()
-	fbCnt := ru32()
-	if fbCnt > 1<<24 {
-		return nil, fmt.Errorf("nn: unreasonable feedback count %d", fbCnt)
+	if r.err != nil {
+		return 0
 	}
-	for i := uint32(0); i < fbCnt; i++ {
+	return int(n)
+}
+
+func (r *reader) str() string {
+	buf := make([]byte, r.count("string length", 1<<20))
+	if r.err == nil {
+		_, r.err = io.ReadFull(r.r, buf)
+	}
+	return string(buf)
+}
+
+// array reads a length-prefixed array chunk by chunk, so the prefix
+// costs no more memory than the bytes that actually follow it.
+func array[T int32 | float32](r *reader) []T {
+	const chunk = 1 << 16
+	rest := r.count("array length", 1<<28)
+	v := make([]T, 0, min(rest, chunk))
+	for rest > 0 && r.err == nil {
+		k := min(rest, chunk)
+		v = slices.Grow(v, k)[:len(v)+k]
+		r.read(v[len(v)-k:])
+		rest -= k
+	}
+	return v
+}
+
+// Load reads a model written by Save. Memory use is bounded by the
+// bytes r supplies, whatever its length prefixes claim.
+func Load(rd io.Reader) (*Model, error) {
+	r := &reader{r: bufio.NewReader(rd)}
+	if r.u32() != magic && r.err == nil {
+		r.err = errors.New("nn: bad magic (not a C2NN model file)")
+	}
+	if v := r.u32(); v != version && r.err == nil {
+		r.err = fmt.Errorf("nn: unsupported model version %d", v)
+	}
+	m := &Model{Net: &Network{}}
+	m.CircuitName = r.str()
+	m.L = int(int32(r.u32()))
+	r.read(&m.GateCount)
+	m.Merged = r.u32() == 1
+
+	n := m.Net
+	n.NumPIs = int(int32(r.u32()))
+	n.TotalUnits = int(int32(r.u32()))
+	for i := r.count("layer count", 1<<24); i > 0 && r.err == nil; i-- {
+		n.SegStart = append(n.SegStart, int32(r.u32()))
+		l := Layer{Threshold: r.u32() == 1, W: &tensor.CSR{}}
+		l.W.Rows, l.W.Cols = int(int32(r.u32())), int(int32(r.u32()))
+		l.W.RowPtr, l.W.Col, l.W.Val = array[int32](r), array[int32](r), array[float32](r)
+		if l.Bias = array[float32](r); len(l.Bias) == 0 {
+			l.Bias = nil // linear layers carry none
+		}
+		n.Layers = append(n.Layers, l)
+	}
+	for _, ports := range []*[]PortMap{&m.Inputs, &m.Outputs} {
+		for i := r.count("port count", 1<<20); i > 0 && r.err == nil; i-- {
+			*ports = append(*ports, PortMap{Name: r.str(), Units: array[int32](r)})
+		}
+	}
+	for i := r.count("feedback count", 1<<24); i > 0 && r.err == nil; i-- {
 		m.Feedback = append(m.Feedback, Feedback{
-			FromUnit: ri32(), ToPI: ri32(), Init: ru32() == 1,
+			FromUnit: int32(r.u32()), ToPI: int32(r.u32()), Init: r.u32() == 1,
 		})
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if r.err == nil {
+		r.err = m.Validate()
 	}
-	m.Net = n
-	if err := n.Validate(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFormat, r.err)
 	}
 	return m, nil
 }
@@ -295,18 +262,4 @@ func (m *Model) MemoryBytes() int64 {
 	}
 	n += 4 + 12*int64(len(m.Feedback))
 	return n
-}
-
-// Guard against NaN weights sneaking in (would break the exactness
-// argument of §III-E).
-func (m *Model) CheckFinite() error {
-	for li := range m.Net.Layers {
-		l := &m.Net.Layers[li]
-		for _, v := range l.W.Val {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return fmt.Errorf("nn: non-finite weight in layer %d", li)
-			}
-		}
-	}
-	return nil
 }

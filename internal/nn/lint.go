@@ -55,6 +55,9 @@ func (n *Network) Lint() []diag.Diagnostic {
 		ds = append(ds, RuleNNSegments.New("network",
 			"%d segment starts for %d layers", len(n.SegStart), len(n.Layers)))
 	}
+	if n.NumPIs < 0 {
+		ds = append(ds, RuleNNSegments.New("network", "%d combinational inputs", n.NumPIs))
+	}
 	units := 1 + n.NumPIs
 	for i := range n.Layers {
 		l := &n.Layers[i]
@@ -98,6 +101,9 @@ func lintCSR(l *Layer, layer, units int) []diag.Diagnostic {
 	loc := "layer " + strconv.Itoa(layer)
 	m := l.W
 
+	if m.Rows < 0 || m.Cols < 0 {
+		return append(ds, RuleNNMatrix.New(loc, "matrix of %d rows by %d columns", m.Rows, m.Cols))
+	}
 	if m.Cols > units {
 		ds = append(ds, RuleNNColumn.New(loc,
 			"matrix spans %d columns, only %d units precede the layer", m.Cols, units))

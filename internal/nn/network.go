@@ -3,9 +3,10 @@
 // graph is converted to its multi-linear polynomial; each non-constant
 // polynomial term becomes a hidden threshold neuron with unit weights
 // and bias |S|−1 (Fig. 2, Eq. 3), and each signal is the exact linear
-// combination of its term neurons. Because those linear layers are
-// exact, each one is folded into the following threshold layer by
-// multiplying weights (Fig. 5), halving the network depth (§III-D).
+// combination of its term neurons. Build lays that alternation out
+// level by level; because the linear layers are exact, Merge can fold
+// each one into the following threshold layer by multiplying weights
+// (Fig. 5), halving the network depth (§III-D).
 //
 // Activation layout: one shared, growing activation vector. Unit 0 is
 // the constant-one neuron (the h_∅ term of Eq. 1), units 1..NumPIs hold
@@ -114,8 +115,13 @@ func (n *Network) ComputeStats() Stats {
 // a thin wrapper over the collect-all irlint rules in lint.go,
 // returning the first Error-severity diagnostic; use Lint to see every
 // violation.
-func (n *Network) Validate() error {
-	for _, d := range n.Lint() {
+func (n *Network) Validate() error { return firstError(n.Lint()) }
+
+// Validate is Network.Validate plus the port and feedback unit bounds.
+func (m *Model) Validate() error { return firstError(m.Lint()) }
+
+func firstError(ds []diag.Diagnostic) error {
+	for _, d := range ds {
 		if d.Severity == diag.Error {
 			return fmt.Errorf("nn: [%s] %s: %s", d.Rule, d.Loc, d.Msg)
 		}
@@ -143,9 +149,9 @@ type Feedback struct {
 // form of its output value. TermUnits[i] is the threshold neuron of the
 // non-constant term with variable set TermMasks[i] (a bitmask over the
 // LUT's input pins); the LUT's value is Cst + Σ VCoefs[i]·VUnits[i]
-// over binary unit activations. In merged networks the value form spans
-// the term units directly (the signal is never materialised); unmerged
-// networks point at the materialised signal unit with coefficient 1.
+// over binary unit activations. Build points the value form at the
+// materialised signal unit with coefficient 1; in merged networks it
+// spans the term units directly (the signal is never materialised).
 type LUTTrace struct {
 	Level     int32
 	TermUnits []int32
@@ -155,9 +161,9 @@ type LUTTrace struct {
 	VCoefs    []int32
 }
 
-// Trace is the LUT→network provenance recorded by Build — the hook the
-// fault-injection subsystem uses to force a LUT's behaviour per batch
-// lane. LayerOfLevel[l] is the network layer whose rows are the term
+// Trace is the LUT→network provenance recorded by Build and rewritten
+// by Merge — the hook the fault-injection subsystem uses to force a
+// LUT's behaviour per batch lane. LayerOfLevel[l] is the network layer whose rows are the term
 // units of computation-graph level l (-1 for levels with no LUTs).
 type Trace struct {
 	LayerOfLevel []int32

@@ -21,9 +21,14 @@ func compile(t *testing.T, src, top string, k int, merge bool) (*netlist.Netlist
 	if err != nil {
 		t.Fatalf("map: %v", err)
 	}
-	model, err := Build(nl, m, BuildOptions{Merge: merge, L: k})
+	model, err := Build(nl, m, BuildOptions{L: k})
 	if err != nil {
 		t.Fatalf("build: %v", err)
+	}
+	if merge {
+		if model, err = Merge(model); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
 	}
 	return nl, model
 }
@@ -192,7 +197,7 @@ func TestStatsAndSparsity(t *testing.T) {
 	if s.MeanSparsity <= 0.5 || s.MeanSparsity > 1 {
 		t.Errorf("mean sparsity = %f", s.MeanSparsity)
 	}
-	if err := model.CheckFinite(); err != nil {
+	if err := model.Validate(); err != nil {
 		t.Error(err)
 	}
 }

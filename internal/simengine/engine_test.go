@@ -35,7 +35,7 @@ func buildModel(t *testing.T, src, top string, k int) (*netlist.Netlist, *nn.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: k})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 	if err != nil {
 		t.Fatal(err)
 	}

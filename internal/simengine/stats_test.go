@@ -233,7 +233,7 @@ func benchModel(b *testing.B) *nn.Model {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,7 @@ endmodule`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,11 @@ func TestUARTSmokeGoldenVCD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if model, err = nn.Merge(model); err != nil { // the golden file probes the merged network's units
 		t.Fatal(err)
 	}
 	eng, err := simengine.New(model, simengine.Options{Batch: 4})

@@ -85,9 +85,14 @@ func TestRandomCircuitPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (K=%d): map: %v", trial, k, err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: merge, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
+		}
+		if merge {
+			if model, err = nn.Merge(model); err != nil {
+				t.Fatalf("trial %d: merge: %v", trial, err)
+			}
 		}
 		prog, err := gatesim.Compile(nl)
 		if err != nil {
@@ -115,7 +120,7 @@ func TestRandomCircuitFlowMap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: flowmap: %v", trial, err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
 		}
@@ -161,7 +166,7 @@ endmodule`})
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +200,7 @@ func TestCoalescedPipelineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Graph = g
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: k})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +224,7 @@ func TestModelRoundTripRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
+		model, err := nn.Build(nl, m, nn.BuildOptions{L: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,20 +252,34 @@ func TestModelRoundTripRandom(t *testing.T) {
 
 // TestCheckKeepsCompileSpans pins the compile span taxonomy and that
 // Options.Check only adds to it: the checked compile walks the same
-// driver, so it records the same stage spans plus "lint".
+// driver, so it records the same stage spans plus "lint". Options.Merge
+// adds the "merge" stage span, which attributes the Fig. 5 cost.
 func TestCheckKeepsCompileSpans(t *testing.T) {
-	spanNames := func(check bool) map[string]bool {
-		tr := NewTrace()
-		if _, err := CompileBenchmark("UART", Options{L: 4, Check: check, Trace: tr}); err != nil {
+	spanNames := func(opts Options) map[string]bool {
+		opts.L, opts.Trace = 4, NewTrace()
+		if _, err := CompileBenchmark("UART", opts); err != nil {
 			t.Fatal(err)
 		}
 		set := map[string]bool{}
-		for _, s := range tr.Spans() {
+		for _, s := range opts.Trace.Spans() {
 			set[s.Name] = true
+			if s.Name != "merge" {
+				continue
+			}
+			attr := map[string]int64{}
+			for _, a := range s.Attrs {
+				attr[a.Key] = a.Int
+			}
+			if attr["rows"] == 0 || attr["rows"] >= attr["rows_before"] || attr["nnz"] <= attr["nnz_before"] {
+				t.Errorf("merge span attributes %v: want fewer rows and more weights than before", attr)
+			}
 		}
 		return set
 	}
-	plain, checked := spanNames(false), spanNames(true)
+	plain, checked, merged := spanNames(Options{}), spanNames(Options{Check: true}), spanNames(Options{Merge: true})
+	if plain["merge"] || !merged["merge"] {
+		t.Errorf(`"merge" span: recorded %v without Options.Merge, %v with`, plain["merge"], merged["merge"])
+	}
 	for _, want := range []string{"compile", "parse", "elaborate", "bitblast", "clocks", "netlist.opt",
 		"lutmap", "aig", "cuts", "tables", "normalize", "nn", "poly", "network"} {
 		if !plain[want] {
