@@ -152,7 +152,7 @@ func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 	for _, c := range Benchmarks() {
 		for _, l := range ls {
 			t.Run(fmt.Sprintf("%s/L%d", c.Name, l), func(t *testing.T) {
-				model, err := CompileBenchmark(c.Name, Options{L: l})
+				model, err := CompileBenchmark(c.Name, Options{L: l, NoMerge: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -116,8 +116,10 @@ type Options struct {
 	// L is the LUT size hyperparameter (default 7). Larger L gives
 	// shallower networks with exponentially more connections (§III-B1).
 	L int
-	// Merge applies the depth-halving layer merge of §III-D (Fig. 5).
-	Merge bool
+	// NoMerge keeps the canonical Fig. 2 network. Only this facade still
+	// merges layers (§III-D, Fig. 5) by default: the frozen benchmark/
+	// times the zero Options (ROADMAP item 1).
+	NoMerge bool
 	// FlowMap selects the depth-optimal mapper instead of priority cuts.
 	FlowMap bool
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
@@ -151,7 +153,7 @@ func (o Options) driver() compile.Options {
 		L:            o.L,
 		FlowMap:      o.FlowMap,
 		CoalesceWide: o.CoalesceWide,
-		Merge:        o.Merge,
+		Merge:        !o.NoMerge,
 		Trace:        o.Trace,
 	}
 }

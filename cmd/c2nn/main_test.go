@@ -119,7 +119,7 @@ func TestCheckMatchesLint(t *testing.T) {
 	}
 
 	tr := c2nn.NewTrace()
-	if _, err := c2nn.CompileBenchmark("UART", c2nn.Options{L: 4, Check: true, Trace: tr}); err != nil {
+	if _, err := c2nn.CompileBenchmark("UART", c2nn.Options{L: 4, NoMerge: true, Check: true, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	fromFacade := map[string]int{}

@@ -46,12 +46,12 @@ func TestCompileEntryPointsBytePinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Top: c.Top, L: l}
+			opts := Options{Top: c.Top, L: l, NoMerge: true}
 			for _, word := range strings.Split(variant, "+") {
 				switch word {
 				case "default":
 				case "merge":
-					opts.Merge = true
+					opts.NoMerge = false
 				case "flowmap":
 					opts.FlowMap = true
 				case "coalesce16":

@@ -165,19 +165,9 @@ func (res *Result) walk(src Source, opts Options, after func(Stage, *Result) err
 	}
 	res.AIG, res.AIGOuts = nil, nil
 
-	res.Model, err = nn.Build(nl, res.Mapping, nn.BuildOptions{L: opts.L, BuildTrace: tr})
+	res.Model, err = nn.Build(nl, res.Mapping, nn.BuildOptions{Merge: opts.Merge, L: opts.L, BuildTrace: tr})
 	if err != nil {
 		return err
-	}
-	if opts.Merge {
-		gsp := tr.Begin("merge")
-		before := res.Model.Net.ComputeStats()
-		if res.Model, err = nn.Merge(res.Model); err != nil {
-			return err
-		}
-		after := res.Model.Net.ComputeStats()
-		gsp.SetInt("rows_before", int64(before.Neurons)).SetInt("rows", int64(after.Neurons)).
-			SetInt("nnz_before", int64(before.Connections)).SetInt("nnz", int64(after.Connections)).End()
 	}
 	return boundary(StageModel)
 }

@@ -13,21 +13,21 @@ import (
 
 // BuildOptions configures network construction.
 type BuildOptions struct {
-	// Merge is ignored: the Fig. 5 fusion is the Merge pass. The field
-	// remains because the frozen benchmark/setup.go sets it and requires
-	// the model it gets back to equal the facade's default byte for byte.
+	// Merge returns Merge(model): the Fig. 5 fusion is a pass over the
+	// network built here, not a second builder.
 	Merge bool
 	// L records the LUT size used during mapping (Table I column).
 	L int
 	// BuildTrace, when non-nil, records the "nn" span with its "poly"
-	// (polynomial generation) and "network" (layer construction) child
-	// spans. Named BuildTrace because Trace already names the LUT
-	// provenance this package attaches to models.
+	// (polynomial generation), "network" (layer construction) and, when
+	// merging, "merge" child spans. Named BuildTrace because Trace
+	// already names the LUT provenance this package attaches to models.
 	BuildTrace *obs.Trace
 }
 
 // Build converts a mapped circuit into its neural-network model, the
-// explicit Fig. 2 alternation of term layers and exact linear layers.
+// explicit Fig. 2 alternation of term layers and exact linear layers,
+// merged per Fig. 5 when opts.Merge asks for it.
 // The netlist supplies port names, flip-flop wiring and the gate count
 // used by the throughput metric.
 func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, error) {
@@ -48,7 +48,6 @@ func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, e
 	}
 	psp.End()
 	nsp := opts.BuildTrace.Begin("network")
-	defer nsp.End()
 	levels := g.Level()
 	var depth int32
 	for _, l := range levels {
@@ -79,9 +78,20 @@ func Build(nl *netlist.Netlist, m *lutmap.Mapping, opts BuildOptions) (*Model, e
 	if err := bindPorts(model, nl, m); err != nil {
 		return nil, err
 	}
+	before := net.ComputeStats()
 	nsp.SetInt("layers", int64(len(net.Layers))).
 		SetInt("neurons", int64(net.TotalUnits)).
-		SetInt("nnz", int64(net.ComputeStats().Connections))
+		SetInt("nnz", int64(before.Connections)).End()
+	if !opts.Merge {
+		return model, nil
+	}
+	msp := opts.BuildTrace.Begin("merge")
+	if model, err = Merge(model); err != nil {
+		return nil, err
+	}
+	after := model.Net.ComputeStats()
+	msp.SetInt("rows_before", int64(before.Neurons)).SetInt("rows", int64(after.Neurons)).
+		SetInt("nnz_before", int64(before.Connections)).SetInt("nnz", int64(after.Connections)).End()
 	return model, nil
 }
 

@@ -123,7 +123,19 @@ func Merge(m *Model) (*Model, error) {
 	for li := range src.Layers {
 		l := &src.Layers[li]
 		fold := !l.Threshold && li != len(src.Layers)-1
-		w := &tensor.CSR{Rows: l.W.Rows, Cols: int(units), RowPtr: make([]int32, 1, l.W.Rows+1), Col: []int32{}, Val: []float32{}}
+		// Forms of different LUTs share no term unit, so what the weights
+		// expand to, plus a surfaced constant per row, is all but the
+		// layer's size; growing by append leaves the copies as garbage.
+		nnz := l.W.Rows
+		for _, u := range l.W.Col {
+			if g.at[u] >= 0 {
+				nnz++
+			} else {
+				nnz += len(g.forms[^g.at[u]].units)
+			}
+		}
+		w := &tensor.CSR{Rows: l.W.Rows, Cols: int(units), RowPtr: make([]int32, 1, l.W.Rows+1),
+			Col: make([]int32, 0, nnz), Val: make([]float32, 0, nnz)}
 		var bias []float32
 		for r := 0; r < l.W.Rows; r++ {
 			if err := g.addRow(l.W, r); err != nil {

@@ -252,8 +252,8 @@ func TestModelRoundTripRandom(t *testing.T) {
 
 // TestCheckKeepsCompileSpans pins the compile span taxonomy and that
 // Options.Check only adds to it: the checked compile walks the same
-// driver, so it records the same stage spans plus "lint". Options.Merge
-// adds the "merge" stage span, which attributes the Fig. 5 cost.
+// driver, so it records the same stage spans plus "lint". Merging adds
+// the "merge" span under "nn", which attributes the Fig. 5 cost.
 func TestCheckKeepsCompileSpans(t *testing.T) {
 	spanNames := func(opts Options) map[string]bool {
 		opts.L, opts.Trace = 4, NewTrace()
@@ -276,9 +276,9 @@ func TestCheckKeepsCompileSpans(t *testing.T) {
 		}
 		return set
 	}
-	plain, checked, merged := spanNames(Options{}), spanNames(Options{Check: true}), spanNames(Options{Merge: true})
+	plain, checked, merged := spanNames(Options{NoMerge: true}), spanNames(Options{NoMerge: true, Check: true}), spanNames(Options{})
 	if plain["merge"] || !merged["merge"] {
-		t.Errorf(`"merge" span: recorded %v without Options.Merge, %v with`, plain["merge"], merged["merge"])
+		t.Errorf(`"merge" span: recorded %v under Options.NoMerge, %v without`, plain["merge"], merged["merge"])
 	}
 	for _, want := range []string{"compile", "parse", "elaborate", "bitblast", "clocks", "netlist.opt",
 		"lutmap", "aig", "cuts", "tables", "normalize", "nn", "poly", "network"} {
