@@ -24,75 +24,39 @@ import (
 	"c2nn/internal/testbench"
 )
 
-// holdStimuli drives identical stimuli into a set of engines for one
-// cycle. Each port keeps its previous value with probability 2/3 —
-// holds are what let clusters go clean, so uniform-random stimuli
-// would never exercise the skip path on input-rooted cones.
+// holdStimuli drives identical stimuli into a set of engines, one cycle
+// per call. Values come from the one generator (simengine.Stimulus), so
+// wide ports are covered at full width, but each port keeps its previous
+// value with probability 2/3 — holds are what let clusters go clean, so
+// fresh values every cycle would never exercise the skip path on
+// input-rooted cones.
 type holdStimuli struct {
-	rng   *rand.Rand
-	batch int
-	vals  map[string][]uint64 // narrow ports, per lane
-	bits  map[string][][]bool // wide ports, per lane
+	stim      *simengine.Stimulus
+	hold      *rand.Rand
+	cur, next simengine.Cycle
 }
 
-func newHoldStimuli(seed int64, batch int) *holdStimuli {
-	return &holdStimuli{
-		rng:   rand.New(rand.NewSource(seed)),
-		batch: batch,
-		vals:  make(map[string][]uint64),
-		bits:  make(map[string][][]bool),
-	}
+func newHoldStimuli(model *Model, seed int64, batch int) *holdStimuli {
+	return &holdStimuli{stim: simengine.NewStimulus(model, batch, seed), hold: rand.New(rand.NewSource(seed))}
 }
 
 // drive applies one cycle of stimuli to every engine. All engines see
 // the same values, so their root diffs make the same skip decisions.
-func (h *holdStimuli) drive(t *testing.T, model *Model, engines ...*Engine) {
+func (h *holdStimuli) drive(t *testing.T, engines ...*Engine) {
 	t.Helper()
-	for _, in := range model.Inputs {
-		w := len(in.Units)
-		if w > 64 {
-			lanes, ok := h.bits[in.Name]
-			if !ok {
-				lanes = make([][]bool, h.batch)
-				for l := range lanes {
-					lanes[l] = make([]bool, w)
-				}
-				h.bits[in.Name] = lanes
-			}
-			if !ok || h.rng.Intn(3) == 0 {
-				for l := range lanes {
-					for i := range lanes[l] {
-						lanes[l][i] = h.rng.Intn(2) == 1
-					}
-				}
-			}
-			for lane := 0; lane < h.batch; lane++ {
-				for _, eng := range engines {
-					if err := eng.SetInputBits(in.Name, lane, lanes[lane]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			continue
-		}
-		vals, ok := h.vals[in.Name]
-		if !ok {
-			vals = make([]uint64, h.batch)
-			h.vals[in.Name] = vals
-		}
-		if !ok || h.rng.Intn(3) == 0 {
-			mask := ^uint64(0)
-			if w < 64 {
-				mask = 1<<uint(w) - 1
-			}
-			for b := range vals {
-				vals[b] = h.rng.Uint64() & mask
+	if h.cur == nil {
+		h.cur = h.stim.Next(nil)
+	} else {
+		h.next = h.stim.Next(h.next)
+		for p := range h.cur {
+			if h.hold.Intn(3) == 0 {
+				copy(h.cur[p], h.next[p])
 			}
 		}
-		for _, eng := range engines {
-			if err := eng.SetInput(in.Name, vals); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, eng := range engines {
+		if err := h.stim.Load(eng, h.cur); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -159,9 +123,9 @@ func diffActivity(t *testing.T, model *Model, prec Precision, cycles, batch int,
 		t.Fatal("Options.Activity did not enable skipping")
 	}
 
-	st := newHoldStimuli(seed, batch)
+	st := newHoldStimuli(model, seed, batch)
 	for cyc := 0; cyc < cycles; cyc++ {
-		st.drive(t, model, base, act)
+		st.drive(t, base, act)
 		base.Forward()
 		act.Forward()
 		compareOutputs(t, model, cyc, base, act, batch)
@@ -341,18 +305,9 @@ func TestProbeMatchesBackendSkipDecisions(t *testing.T) {
 				t.Fatal(err)
 			}
 			clusters := len(eng.Plan().Clusters.Clusters)
-			rng := rand.New(rand.NewSource(99))
-			held := make(map[string]uint64)
+			st := newHoldStimuli(model, 99, 1)
 			for cyc := 0; cyc < 40; cyc++ {
-				for _, in := range model.Inputs {
-					if _, ok := held[in.Name]; !ok || rng.Intn(3) == 0 {
-						mask := uint64(1)<<uint(len(in.Units)) - 1
-						held[in.Name] = rng.Uint64() & mask
-					}
-					if err := eng.SetInputUniform(in.Name, held[in.Name]); err != nil {
-						t.Fatal(err)
-					}
-				}
+				st.drive(t, eng)
 				pr.Sample()
 				dirtyBefore, _ := eng.ActivityCounters()
 				eng.Forward()
@@ -423,9 +378,9 @@ func TestActivityStateMutationInvalidation(t *testing.T) {
 
 				// Warm up with holds so the activity engine has settled
 				// into skipping before the mutation hits.
-				st := newHoldStimuli(7, batch)
+				st := newHoldStimuli(model, 7, batch)
 				for cyc := 0; cyc < 6; cyc++ {
-					st.drive(t, model, base, act)
+					st.drive(t, base, act)
 					base.Step()
 					act.Step()
 				}

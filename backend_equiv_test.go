@@ -28,9 +28,9 @@ var backendPrecisions = []simengine.Precision{
 // diffBackends drives identical random stimuli through one engine per
 // substrate for the given number of cycles and fails on the first
 // output bit or flip-flop state bit where any backend disagrees with
-// the float32 reference. Wide ports (>64 bits) are driven with
-// SetInputBits and read with GetOutputBits, so the AES/SHA buses are
-// covered too. Every model in forms — other networks of the same
+// the float32 reference. Stimuli come from the one generator
+// (simengine.Stimulus) and wide ports are read with GetOutputBits, so
+// the AES/SHA buses are covered at full width. Every model in forms — other networks of the same
 // circuit, such as its nn.Merge — gets its own three engines, held to
 // the same reference.
 func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, forms ...*Model) {
@@ -49,37 +49,13 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, for
 	name := func(i int) string {
 		return fmt.Sprintf("%v (merged=%v)", engines[i].Precision(), engines[i].Model().Merged)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	bits := make([]bool, 0, 128)
+	stim := simengine.NewStimulus(model, batch, seed)
+	var c simengine.Cycle
 	for cyc := 0; cyc < cycles; cyc++ {
-		for _, in := range model.Inputs {
-			w := len(in.Units)
-			if w > 64 {
-				for lane := 0; lane < batch; lane++ {
-					bits = bits[:0]
-					for i := 0; i < w; i++ {
-						bits = append(bits, rng.Intn(2) == 1)
-					}
-					for _, eng := range engines {
-						if err := eng.SetInputBits(in.Name, lane, bits); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				continue
-			}
-			vals := make([]uint64, batch)
-			for b := range vals {
-				v := rng.Uint64()
-				if w < 64 {
-					v &= 1<<uint(w) - 1
-				}
-				vals[b] = v
-			}
-			for _, eng := range engines {
-				if err := eng.SetInput(in.Name, vals); err != nil {
-					t.Fatal(err)
-				}
+		c = stim.Next(c)
+		for _, eng := range engines {
+			if err := stim.Load(eng, c); err != nil {
+				t.Fatal(err)
 			}
 		}
 		for _, eng := range engines {
@@ -233,24 +209,23 @@ func TestSequentialTrajectoriesAcrossSimulators(t *testing.T) {
 				engines[i] = eng
 			}
 
-			srng := rand.New(rand.NewSource(int64(trial)*97 + 13))
-			vals := make([]uint64, batch)
+			stim := simengine.NewStimulus(model, batch, int64(trial)*97+13)
+			var c simengine.Cycle
 			for cyc := 0; cyc < cycles; cyc++ {
-				for _, in := range model.Inputs {
-					mask := uint64(1)<<uint(len(in.Units)) - 1
-					for lane := range vals {
-						vals[lane] = srng.Uint64() & mask
-						if err := events[lane].Poke(in.Name, vals[lane]); err != nil {
-							t.Fatal(err)
-						}
-						if err := bs.PokeLane(in.Name, lane, vals[lane]); err != nil {
+				c = stim.Next(c)
+				for lane := range events {
+					if err := stim.Poke(events[lane], c, lane); err != nil {
+						t.Fatal(err)
+					}
+					for p, in := range model.Inputs { // randomCircuit ports fit one word
+						if err := bs.PokeLane(in.Name, lane, c[p][lane]); err != nil {
 							t.Fatal(err)
 						}
 					}
-					for _, eng := range engines {
-						if err := eng.SetInput(in.Name, vals); err != nil {
-							t.Fatal(err)
-						}
+				}
+				for _, eng := range engines {
+					if err := stim.Load(eng, c); err != nil {
+						t.Fatal(err)
 					}
 				}
 				for lane := range events {

@@ -55,15 +55,12 @@ func BenchmarkTable1Baseline(b *testing.B) {
 	for _, name := range []string{"AES", "SHA", "SPI", "UART", "DMA", "RISC-V interface"} {
 		b.Run(name, func(b *testing.B) {
 			res := getCompiled(b, name, 3)
-			stim := bench.NewStimulusSet(res.Netlist, 32, 1, 1)
+			stim := bench.NewStimulusSet(res.Model, 32, 1, 1)
 			sim := gatesim.NewSim(res.Program)
 			gates := float64(res.Netlist.GateCount())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc := stim.Values[i%stim.Cycles]
-				for p, port := range stim.Ports {
-					sim.Poke(port, sc[p][0])
-				}
+				stim.Poke(sim, stim.Values[i%stim.Cycles], 0)
 				sim.Step()
 			}
 			b.ReportMetric(gates*float64(b.N)/b.Elapsed().Seconds(), "gates*cycles/s")
@@ -79,7 +76,7 @@ func BenchmarkTable1NN(b *testing.B) {
 		for _, l := range []int{3, 7, 11} {
 			b.Run(fmt.Sprintf("%s/L=%d", name, l), func(b *testing.B) {
 				res := getCompiled(b, name, l)
-				stim := bench.NewStimulusSet(res.Netlist, 16, batch, 1)
+				stim := bench.NewStimulusSet(res.Model, 16, batch, 1)
 				eng, err := simengine.New(res.Model, simengine.Options{Batch: batch})
 				if err != nil {
 					b.Fatal(err)
@@ -87,10 +84,7 @@ func BenchmarkTable1NN(b *testing.B) {
 				gates := float64(res.Model.GateCount)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sc := stim.Values[i%stim.Cycles]
-					for p, port := range stim.Ports {
-						eng.SetInput(port, sc[p])
-					}
+					stim.Load(eng, stim.Values[i%stim.Cycles])
 					eng.Step()
 				}
 				b.ReportMetric(gates*float64(b.N)*batch/b.Elapsed().Seconds(), "gates*cycles/s")
@@ -327,16 +321,13 @@ func BenchmarkAblationMappers(b *testing.B) {
 // scalar, event-driven and 64-lane bit-parallel.
 func BenchmarkAblationBaselines(b *testing.B) {
 	res := getCompiled(b, "SPI", 3)
-	stim := bench.NewStimulusSet(res.Netlist, 16, 64, 9)
+	stim := bench.NewStimulusSet(res.Model, 16, 64, 9)
 	gates := float64(res.Netlist.GateCount())
 
 	b.Run("scalar", func(b *testing.B) {
 		sim := gatesim.NewSim(res.Program)
 		for i := 0; i < b.N; i++ {
-			sc := stim.Values[i%stim.Cycles]
-			for p, port := range stim.Ports {
-				sim.Poke(port, sc[p][0])
-			}
+			stim.Poke(sim, stim.Values[i%stim.Cycles], 0)
 			sim.Step()
 		}
 		b.ReportMetric(gates*float64(b.N)/b.Elapsed().Seconds(), "gates*cycles/s")
@@ -344,10 +335,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	b.Run("event-driven", func(b *testing.B) {
 		sim := gatesim.NewEventSim(res.Program)
 		for i := 0; i < b.N; i++ {
-			sc := stim.Values[i%stim.Cycles]
-			for p, port := range stim.Ports {
-				sim.Poke(port, sc[p][0])
-			}
+			stim.Poke(sim, stim.Values[i%stim.Cycles], 0)
 			sim.Step()
 		}
 		b.ReportMetric(gates*float64(b.N)/b.Elapsed().Seconds(), "gates*cycles/s")
@@ -359,7 +347,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			wc := words[i%stim.Cycles]
 			for p, port := range stim.Ports {
-				sim.Poke(port, wc[p])
+				sim.Poke(port.Name, wc[p])
 			}
 			sim.Step()
 		}

@@ -120,8 +120,6 @@ type Options struct {
 	// merges layers (§III-D, Fig. 5) by default: the frozen benchmark/
 	// times the zero Options (ROADMAP item 1).
 	NoMerge bool
-	// FlowMap selects the depth-optimal mapper instead of priority cuts.
-	FlowMap bool
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
 	// wide LUTs of up to this many inputs after mapping — the §V
 	// "polynomial libraries for known functions" improvement. Wide ANDs
@@ -151,7 +149,6 @@ func (o Options) source(name string) (compile.Source, error) {
 func (o Options) driver() compile.Options {
 	return compile.Options{
 		L:            o.L,
-		FlowMap:      o.FlowMap,
 		CoalesceWide: o.CoalesceWide,
 		Merge:        !o.NoMerge,
 		Trace:        o.Trace,
@@ -223,7 +220,7 @@ func Verify(name string, l, cycles, batch int, seed int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := simengine.Verify(cres.Model, prog, cycles, batch, seed)
+	res, err := simengine.Verify(cres.Model, prog, cycles, EngineOptions{Batch: batch}, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -49,15 +49,14 @@ type analyzeReport struct {
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("c2nn analyze", flag.ExitOnError)
 	var (
-		lutSize    = fs.Int("L", 7, "LUT size (max inputs per Boolean function)")
-		topMod     = fs.String("topmod", "", "top module name for Verilog file targets (default: inferred)")
-		circuit    = fs.String("circuit", "", "analyze a built-in benchmark circuit")
-		all        = fs.Bool("all", false, "analyze every built-in benchmark circuit")
-		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text")
-		topN       = fs.Int("top", 10, "rows of the hottest-layer cost table (0 disables)")
-		showClus   = fs.Bool("clusters", false, "print the per-cluster breakdown")
-		merge      = fs.Bool("merge", false, "apply the Fig. 5 layer merge")
-		useFlowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper")
+		lutSize  = fs.Int("L", 7, "LUT size (max inputs per Boolean function)")
+		topMod   = fs.String("topmod", "", "top module name for Verilog file targets (default: inferred)")
+		circuit  = fs.String("circuit", "", "analyze a built-in benchmark circuit")
+		all      = fs.Bool("all", false, "analyze every built-in benchmark circuit")
+		jsonOut  = fs.Bool("json", false, "emit machine-readable JSON instead of text")
+		topN     = fs.Int("top", 10, "rows of the hottest-layer cost table (0 disables)")
+		showClus = fs.Bool("clusters", false, "print the per-cluster breakdown")
+		merge    = fs.Bool("merge", false, "apply the Fig. 5 layer merge")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: c2nn analyze [-all | -circuit name | file.v ...] [-L n] [-json] [-top n] [-clusters]")
@@ -71,7 +70,7 @@ func runAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := compile.Options{L: *lutSize, FlowMap: *useFlowmap, Merge: *merge}
+	opts := compile.Options{L: *lutSize, Merge: *merge}
 
 	var reports []analyzeReport
 	failed := false

@@ -43,7 +43,6 @@ func runEquiv(args []string) error {
 		circuit  = fs.String("circuit", "", "prove a built-in benchmark circuit")
 		all      = fs.Bool("all", false, "prove every built-in benchmark circuit")
 		stage    = fs.String("stage", "", "restrict to one stage miter: netlist-aig, aig-lut or netlist-lut (default: all three + chain)")
-		flowmap  = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
 		jsonOut  = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		cexOut   = fs.String("cex", "", "write the first counterexample as a .tb testbench to this path")
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel proofs for -all")
@@ -101,7 +100,7 @@ func runEquiv(args []string) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcomes[i] = proveOne(job, *flowmap, eopts)
+			outcomes[i] = proveOne(job, eopts)
 		}(i, job)
 	}
 	wg.Wait()
@@ -174,9 +173,9 @@ func runEquiv(args []string) error {
 
 // proveOne compiles and proves a single job, capturing failures as
 // data so one broken proof doesn't hide the rest of the matrix.
-func proveOne(job equivJob, flowMap bool, eopts equiv.Options) equivOutcome {
+func proveOne(job equivJob, eopts equiv.Options) equivOutcome {
 	oc := equivOutcome{Circuit: job.src.Name, L: job.l}
-	res, err := equiv.ProveSource(job.src, compile.Options{L: job.l, FlowMap: flowMap}, eopts)
+	res, err := equiv.ProveSource(job.src, compile.Options{L: job.l}, eopts)
 	if err != nil {
 		oc.Error = err.Error()
 		return oc

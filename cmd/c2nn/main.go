@@ -24,7 +24,6 @@
 //	-o path      output model file (default: <top>.c2nn)
 //	-circuit n   compile a built-in benchmark circuit instead of files
 //	-merge       apply the depth-halving layer merge (§III-D, Fig. 5)
-//	-flowmap     use the FlowMap depth-optimal mapper
 //	-stats       print netlist / mapping / network statistics
 //	-check       run the irlint IR verifier at every stage boundary
 //
@@ -133,7 +132,6 @@ func runCompile(args []string) error {
 		out     = fs.String("o", "", "output model path (default: <top>.c2nn)")
 		circuit = fs.String("circuit", "", "compile a built-in benchmark circuit (AES, SHA, SPI, UART, DMA, RISC-V interface)")
 		merge   = fs.Bool("merge", false, "apply the depth-halving layer merge of Fig. 5 (default: the explicit hidden/linear alternation)")
-		flowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
 		stats   = fs.Bool("stats", false, "print pipeline statistics")
 		check   = fs.Bool("check", false, "run the irlint IR verifier at every stage boundary; fail on error diagnostics")
 		aigOut  = fs.String("aig", "", "also write the combinational core as an AIGER file (.aag = ASCII, else binary)")
@@ -154,7 +152,7 @@ func runCompile(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := compile.Options{L: *lutSize, FlowMap: *flowmap, Merge: *merge}
+	opts := compile.Options{L: *lutSize, Merge: *merge}
 	return compileTo(src, opts, *out, *stats, *check, *aigOut)
 }
 
@@ -170,7 +168,6 @@ func runLint(args []string) error {
 		top     = fs.String("top", "", "top module name (default: inferred)")
 		circuit = fs.String("circuit", "", "lint a built-in benchmark circuit")
 		all     = fs.Bool("all", false, "lint every built-in benchmark circuit")
-		flowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		rules   = fs.Bool("rules", false, "list every registered rule and exit")
 		noEquiv = fs.Bool("noequiv", false, "skip the SAT equivalence stage (rules EQ001-EQ008)")
@@ -194,7 +191,7 @@ func runLint(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := compile.Options{L: *lutSize, FlowMap: *flowmap}
+	opts := compile.Options{L: *lutSize}
 	type result struct {
 		Circuit string          `json:"circuit"`
 		Report  json.RawMessage `json:"report"`

@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -182,5 +183,97 @@ func TestCLICompileBytePinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(model)); got != f[3] {
 			t.Errorf("%v: model bytes hash to %s, pinned %s", args, got, f[3])
 		}
+	}
+}
+
+// TestRunVerifiesWhatItRuns pins the session behind "c2nn run": -verify
+// checks the backend, lane count and network it was asked about, a bad
+// -backend fails before anything is compiled, and the
+// network run simulates is byte for byte the one "c2nn -circuit … -o"
+// writes — the canonical rows of testdata/model_sha256.txt.
+func TestRunVerifiesWhatItRuns(t *testing.T) {
+	out, err := capture(t, func() error {
+		return runRun([]string{"-circuit", "UART", "-L", "4", "-verify", "-backend", "bitpacked", "-batch", "70", "-cycles", "8"})
+	})
+	if err != nil || !strings.Contains(out, "8 cycles x 70 lanes on bitpacked") {
+		t.Errorf("run -verify -backend bitpacked -batch 70: %v\n%s", err, out)
+	}
+	_, err = capture(t, func() error {
+		return runRun([]string{"-circuit", "nope", "-verify", "-backend", "nope"})
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown backend "nope"`) {
+		t.Errorf("want the unknown-backend error before the circuit is looked at, got %v", err)
+	}
+
+	out, err = capture(t, func() error { return runRun([]string{"-circuit", "UART", "-L", "4", "-info"}) })
+	if err != nil || !strings.Contains(out, "merged=false") || !strings.Contains(out, "\n17 layers") {
+		t.Errorf("run -info: want the canonical 17-layer network: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile("../../testdata/model_sha256.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Split(line, "\t")
+		if strings.HasPrefix(line, "#") || f[2] != "default" || f[1] != "4" {
+			continue
+		}
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
+		s := sessionFlags(fs, "", "float32", 256)
+		if err := fs.Parse([]string{"-circuit", f[0], "-L", f[1]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.open("", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if _, err := s.model.Save(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != f[3] {
+			t.Errorf("run -circuit %s -L %s simulates a model hashing to %s, the compiler writes %s", f[0], f[1], got, f[3])
+		}
+	}
+}
+
+// TestDriveIsOneMeasurement: a testbench replay plus random cycles is one
+// "run" span whose cycles attribute is the count drive returns, for any
+// subcommand that attaches a trace.
+func TestDriveIsOneMeasurement(t *testing.T) {
+	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
+	s := sessionFlags(fs, "", "bitpacked", 8)
+	if err := fs.Parse([]string{"-tb", "../../testbenches/uart_smoke.tb", "-L", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	tr := c2nn.NewTrace()
+	if err := s.open("", nil, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.eng.Close()
+	stepped := 0
+	d, err := s.drive(5, nil, func() error { stepped++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.tb.Steps == 0 || d.cycles != d.tb.Steps+5 || stepped < d.cycles || d.elapsed <= 0 {
+		t.Fatalf("drive returned %+v after %d observer calls", d, stepped)
+	}
+	runs := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "run" {
+			continue
+		}
+		runs++
+		for _, a := range sp.Attrs {
+			if a.Key == "cycles" && int(a.Int) != d.cycles {
+				t.Errorf("run span records %d cycles, drive returned %d", a.Int, d.cycles)
+			}
+		}
+	}
+	if runs != 1 {
+		t.Errorf("%d run spans, want 1", runs)
 	}
 }

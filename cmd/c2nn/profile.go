@@ -4,20 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"c2nn"
-	"c2nn/internal/compile"
 	"c2nn/internal/exec/analyze"
-	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
-	"c2nn/internal/testbench"
 )
 
 // runProfile implements the "c2nn profile" subcommand: compile a
@@ -28,133 +22,45 @@ import (
 // Perfetto), -metrics the flat counter/gauge/histogram dump.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("c2nn profile", flag.ExitOnError)
+	s := sessionFlags(fs, "[-cycles n] [-activity] [-trace out.json] [-metrics out.json]", "bitpacked", 256)
 	var (
-		circuit   = fs.String("circuit", "", "profile a built-in benchmark circuit (case-insensitive)")
-		tbPath    = fs.String("tb", "", "testbench script to replay (the circuit is inferred from the file name unless -circuit is given)")
-		lutSize   = fs.Int("L", 7, "LUT size (max inputs per Boolean function)")
-		backendF  = fs.String("backend", "bitpacked", "execution substrate: float32, int32 or bitpacked")
 		cycles    = fs.Int("cycles", 256, "random-stimulus clock cycles to drive (after the -tb script, if any)")
-		batch     = fs.Int("batch", 256, "engine batch size (stimulus lanes)")
-		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines")
-		seed      = fs.Int64("seed", 1, "random-stimulus seed")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON file (open in chrome://tracing or Perfetto)")
 		metrOut   = fs.String("metrics", "", "write the metrics dump as JSON")
 		topN      = fs.Int("top", 10, "hot-layer table size (0 hides it)")
 		activityF = fs.Bool("activity", false, "enable activity-driven execution and report skip rate and per-root toggle rates")
 		maxSpans  = fs.Int("max-spans", obs.DefaultMaxSpans, "span arena capacity; spans beyond it are dropped (and reported)")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn profile [-circuit name | -tb script.tb] [-backend b] [-cycles n] [-batch n] [-trace out.json] [-metrics out.json]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	src, err := target(*circuit, *tbPath, "", nil)
-	if err != nil {
-		return err
-	}
-	prec, err := backend.ParseKind(*backendF)
-	if err != nil {
-		return err
-	}
-	var script *testbench.Script
-	if *tbPath != "" {
-		src, err := os.ReadFile(*tbPath)
-		if err != nil {
-			return err
-		}
-		script, err = testbench.Parse(string(src))
-		if err != nil {
-			return fmt.Errorf("%s: %w", *tbPath, err)
-		}
-	}
-
 	tr := obs.NewWithLimit(*maxSpans)
-	cres, err := compile.Run(src, compile.Options{L: *lutSize, Trace: tr}, nil)
-	if err != nil {
+	if err := s.open("", fs.Args(), tr); err != nil {
 		return err
 	}
-	model := cres.Model
-	eng, err := c2nn.NewEngine(model, c2nn.EngineOptions{
-		Batch:     *batch,
-		Workers:   *workers,
-		Precision: prec,
-		Activity:  *activityF,
-		Trace:     tr,
-	})
-	if err != nil {
+	s.opts.Activity = *activityF
+	if err := s.start(); err != nil {
 		return err
 	}
-	defer eng.Close()
+	defer s.eng.Close()
 
 	// With -activity the engine skips clean clusters; the probe samples
 	// the same root diff after every step to attribute the dirtiness to
 	// individual roots (the toggle table below).
 	var probe *analyze.Probe
+	var sample func() error
 	if *activityF {
-		probe, err = analyze.NewProbe(eng)
-		if err != nil {
+		var err error
+		if probe, err = analyze.NewProbe(s.eng); err != nil {
 			return err
 		}
+		sample = func() error { probe.Sample(); return nil }
 	}
-	sample := func() {
-		if probe != nil {
-			probe.Sample()
-		}
+	d, err := s.drive(*cycles, nil, sample)
+	if err != nil {
+		return err
 	}
-
-	rsp := tr.Begin("run").
-		SetStr("circuit", src.Name).
-		SetStr("backend", prec.String()).
-		SetInt("batch", int64(*batch))
-	driven := 0
-	if script != nil {
-		res, err := script.RunOpts(eng, testbench.RunOptions{
-			Trace: func(int) error { sample(); return nil },
-		})
-		if err != nil {
-			return fmt.Errorf("profile: replaying %s: %w", *tbPath, err)
-		}
-		driven += res.Steps
-	}
-	start := time.Now()
-	rng := rand.New(rand.NewSource(*seed))
-	bits := make([]bool, 0, 128)
-	vals := make([]uint64, *batch)
-	for cyc := 0; cyc < *cycles; cyc++ {
-		for _, in := range model.Inputs {
-			w := len(in.Units)
-			if w > 64 {
-				for lane := 0; lane < *batch; lane++ {
-					bits = bits[:0]
-					for i := 0; i < w; i++ {
-						bits = append(bits, rng.Intn(2) == 1)
-					}
-					if err := eng.SetInputBits(in.Name, lane, bits); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			for lane := range vals {
-				v := rng.Uint64()
-				if w < 64 {
-					v &= 1<<uint(w) - 1
-				}
-				vals[lane] = v
-			}
-			if err := eng.SetInput(in.Name, vals); err != nil {
-				return err
-			}
-		}
-		eng.Step()
-		sample()
-		driven++
-	}
-	elapsed := time.Since(start)
-	rsp.SetInt("cycles", int64(driven)).End()
 
 	if *traceOut != "" {
 		if err := writeFileWith(*traceOut, tr.WriteChromeTrace); err != nil {
@@ -169,7 +75,7 @@ func runProfile(args []string) error {
 
 	printProfile(tr, *topN)
 	if probe != nil {
-		printActivity(eng, probe, *topN)
+		printActivity(s.eng, probe, *topN)
 	}
 	if dropped := tr.Dropped(); dropped > 0 {
 		fmt.Fprintf(os.Stderr,
@@ -177,10 +83,8 @@ func runProfile(args []string) error {
 				"         Raise the cap with -max-spans, shorten the run (-cycles), or profile fewer layers.\n",
 			dropped, *maxSpans)
 	}
-	gcs := simengine.Throughput(model.GateCount, *cycles, *batch, elapsed)
-	fmt.Printf("\n%s (L=%d, %s): %d cycles x %d lanes in %s = %.3g gates·cycles/s\n",
-		src.Name, *lutSize, prec, driven, *batch,
-		elapsed.Round(time.Millisecond), gcs)
+	fmt.Println()
+	s.report(d)
 	return nil
 }
 
@@ -200,7 +104,7 @@ func writeFileWith(path string, fn func(w io.Writer) error) error {
 // printActivity renders the skip-rate line and the per-root toggle
 // table of an -activity run: which ports and flip-flops kept clusters
 // dirty, busiest first.
-func printActivity(eng *c2nn.Engine, probe *analyze.Probe, topN int) {
+func printActivity(eng *simengine.Engine, probe *analyze.Probe, topN int) {
 	dirty, skipped := eng.ActivityCounters()
 	rate := 0.0
 	if tot := dirty + skipped; tot > 0 {

@@ -3,14 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
-	"c2nn"
-	"c2nn/internal/exec/backend"
 	"c2nn/internal/exec/plan"
+	"c2nn/internal/gatesim"
 	"c2nn/internal/nn"
 	"c2nn/internal/simengine"
 	"c2nn/internal/testbench"
@@ -18,104 +15,63 @@ import (
 )
 
 // runRun implements the "c2nn run" subcommand: it runs a compiled .c2nn
-// model (or a freshly compiled built-in circuit) — batched multi-cycle
-// simulation with random or scripted stimuli — or, with -verify,
-// compares the NN engine output-for-output against the levelized
-// gate-level reference on identical random stimuli (the paper's §IV-A
-// verification).
+// model or a freshly compiled circuit — batched multi-cycle simulation
+// with random or scripted stimuli — or, with -verify, compares that same
+// model on the requested backend, batch and workers output-for-output
+// against the levelized gate-level reference on identical random
+// stimuli (the paper's §IV-A verification).
 func runRun(args []string) error {
 	fs := flag.NewFlagSet("c2nn run", flag.ExitOnError)
+	s := sessionFlags(fs, "[-verify | -info] [-cycles n] [-vcd out.vcd]", "float32", 256)
 	var (
-		modelPath = fs.String("model", "", "compiled .c2nn model file")
-		circuit   = fs.String("circuit", "", "built-in circuit to compile and run")
-		lutSize   = fs.Int("L", 7, "LUT size when compiling a built-in circuit")
-		cycles    = fs.Int("cycles", 256, "clock cycles to simulate")
-		batch     = fs.Int("batch", 256, "stimuli per batch (stimulus parallelism)")
-		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (structural parallelism)")
-		verify    = fs.Bool("verify", false, "compare NN outputs against the gate-level simulator")
-		backendF  = fs.String("backend", "float32", "execution substrate: float32, int32 or bitpacked")
-		seed      = fs.Int64("seed", 1, "stimulus seed")
-		vcdPath   = fs.String("vcd", "", "dump lane-0 port waveforms to this VCD file")
-		tbPath    = fs.String("tb", "", "run a testbench script (set/step/expect directives) instead of random stimuli")
-		info      = fs.Bool("info", false, "print the per-layer structure of the model and exit")
+		cycles  = fs.Int("cycles", 256, "random-stimulus clock cycles to simulate (none after a -tb script)")
+		verify  = fs.Bool("verify", false, "compare NN outputs against the gate-level simulator")
+		vcdPath = fs.String("vcd", "", "dump lane-0 port waveforms of the random-stimulus cycles to this VCD file")
+		info    = fs.Bool("info", false, "print the per-layer structure of the model and exit")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn run [-model file.c2nn | -circuit name [-L n]] [-verify | -tb script.tb | -info] [-backend b] [-cycles n] [-batch n]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	prec, err := backend.ParseKind(*backendF)
-	if err != nil {
+	start := time.Now()
+	if err := s.open("", fs.Args(), nil); err != nil {
 		return err
 	}
-
-	if *verify {
-		if *circuit == "" {
-			return fmt.Errorf("-verify needs -circuit (the gate-level reference is compiled from source)")
-		}
-		lanes := min(*batch, 16)
-		compared, err := c2nn.Verify(*circuit, *lutSize, *cycles, lanes, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("VERIFIED: %d cycles x %d lanes, %d comparisons, all identical\n", *cycles, lanes, compared)
-		return nil
-	}
-
-	var model *nn.Model
-	switch {
-	case *circuit != "":
-		start := time.Now()
-		model, err = c2nn.CompileBenchmark(*circuit, c2nn.Options{L: *lutSize})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compiled %s at L=%d in %s (%d gates, %d layers)\n",
-			model.CircuitName, *lutSize, time.Since(start).Round(time.Millisecond),
-			model.GateCount, len(model.Net.Layers))
-	case *modelPath != "":
-		model, err = c2nn.LoadModel(*modelPath)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded %q: circuit %s, L=%d, %d layers, %d gates\n",
-			*modelPath, model.CircuitName, model.L, len(model.Net.Layers), model.GateCount)
-	default:
-		return fmt.Errorf("pass -model or -circuit (see c2nn run -h)")
-	}
+	model := s.model
+	fmt.Printf("%s: L=%d, %d layers, %d gates, ready in %s\n", s.name, model.L,
+		len(model.Net.Layers), model.GateCount, time.Since(start).Round(time.Millisecond))
 
 	if *info {
 		printInfo(model)
 		return nil
 	}
-
-	eng, err := simengine.New(model, simengine.Options{Batch: *batch, Workers: *workers, Precision: prec})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-
-	if *tbPath != "" {
-		src, err := os.ReadFile(*tbPath)
+	if *verify {
+		if s.res == nil {
+			return fmt.Errorf("-verify needs -circuit or Verilog files (the gate-level reference is compiled from source)")
+		}
+		prog, err := gatesim.Compile(s.res.Netlist)
 		if err != nil {
 			return err
 		}
-		script, err := testbench.Parse(string(src))
+		res, err := simengine.Verify(model, prog, *cycles, s.opts, *s.seed)
 		if err != nil {
 			return err
 		}
-		res, err := script.Run(eng)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *tbPath, err)
-		}
-		fmt.Printf("testbench PASSED: %d steps, %d checks, %d stimulus loads\n",
-			res.Steps, res.Checks, res.Applied)
+		fmt.Printf("VERIFIED: %d cycles x %d lanes on %s (%d workers), %d comparisons, all identical\n",
+			res.Cycles, res.Batch, s.opts.Precision, s.opts.Workers, res.Compared)
 		return nil
 	}
 
-	var tracer *vcd.PortTracer
+	if err := s.start(); err != nil {
+		return err
+	}
+	defer s.eng.Close()
+
+	// lane0 reads lane 0 of an output port at full width.
+	lane0 := func(port string) []bool {
+		bits, _ := s.eng.GetOutputBits(port, 0) // port and lane come from the model
+		return bits
+	}
+	var settled func(cyc int, in simengine.Cycle)
 	if *vcdPath != "" {
 		f, err := os.Create(*vcdPath)
 		if err != nil {
@@ -129,110 +85,45 @@ func runRun(args []string) error {
 		for _, p := range model.Outputs {
 			widths[p.Name] = len(p.Units)
 		}
-		tracer = vcd.NewPortTracer(vcd.NewWriter(f, "1ns", model.CircuitName), widths)
+		tracer := vcd.NewPortTracer(vcd.NewWriter(f, "1ns", model.CircuitName), widths)
 		defer tracer.Close()
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	vals := make([]uint64, *batch)
-	sample := make(map[string]uint64)
-	start := time.Now()
-	for cyc := 0; cyc < *cycles; cyc++ {
-		for _, in := range model.Inputs {
-			for b := range vals {
-				v := rng.Uint64()
-				if w := len(in.Units); w < 64 {
-					v &= 1<<uint(w) - 1
-				}
-				vals[b] = v
+		// A VCD sample word carries the low 64 bits of a port.
+		sample := make(map[string]uint64)
+		settled = func(cyc int, in simengine.Cycle) {
+			for p, port := range model.Inputs {
+				sample[port.Name] = in[p][0]
 			}
-			if err := eng.SetInput(in.Name, vals); err != nil {
-				return err
-			}
-			if tracer != nil {
-				sample[in.Name] = vals[0]
-			}
-		}
-		if tracer != nil {
-			eng.Forward()
 			for _, out := range model.Outputs {
-				v, err := outputLane0(eng, out.Name, len(out.Units))
-				if err != nil {
-					return err
+				var v uint64
+				for i, bit := range lane0(out.Name) {
+					if bit && i < 64 {
+						v |= 1 << uint(i)
+					}
 				}
 				sample[out.Name] = v
 			}
 			tracer.Sample(uint64(cyc), sample)
-			eng.LatchFeedback()
-			continue
 		}
-		eng.Step()
 	}
-	elapsed := time.Since(start)
-	gcs := simengine.Throughput(model.GateCount, *cycles, *batch, elapsed)
-	fmt.Printf("simulated %d cycles x %d lanes in %s\n", *cycles, *batch, elapsed.Round(time.Microsecond))
-	fmt.Printf("throughput: %.3E gates*cycles/s\n", gcs)
 
-	eng.Forward()
+	if s.script != nil {
+		*cycles = 0
+	}
+	d, err := s.drive(*cycles, settled, nil)
+	if err != nil {
+		return err
+	}
+	if s.script != nil {
+		fmt.Printf("testbench PASSED: %d steps, %d checks, %d stimulus loads\n",
+			d.tb.Steps, d.tb.Checks, d.tb.Applied)
+	}
+	s.report(d)
+
+	s.eng.Forward()
 	for _, out := range model.Outputs {
-		s, err := outputLane0Hex(eng, out.Name, len(out.Units))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %s[lane0] = %s\n", out.Name, s)
+		fmt.Printf("  %s[lane0] = %s\n", out.Name, testbench.FormatBits(lane0(out.Name)))
 	}
 	return nil
-}
-
-// outputLane0 reads lane 0 of an output port as a uint64; ports wider
-// than 64 bits (which GetOutput refuses) are read bitwise and truncated
-// to their low 64 bits — the most a VCD sample word can carry.
-func outputLane0(eng *simengine.Engine, name string, width int) (uint64, error) {
-	if width <= 64 {
-		v, err := eng.GetOutput(name)
-		if err != nil {
-			return 0, err
-		}
-		return v[0], nil
-	}
-	bits, err := eng.GetOutputBits(name, 0)
-	if err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 0; i < 64 && i < len(bits); i++ {
-		if bits[i] {
-			v |= 1 << uint(i)
-		}
-	}
-	return v, nil
-}
-
-// outputLane0Hex renders lane 0 of an output port at full width.
-func outputLane0Hex(eng *simengine.Engine, name string, width int) (string, error) {
-	if width <= 64 {
-		v, err := eng.GetOutput(name)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%#x", v[0]), nil
-	}
-	bits, err := eng.GetOutputBits(name, 0)
-	if err != nil {
-		return "", err
-	}
-	nibbles := (len(bits) + 3) / 4
-	s := make([]byte, nibbles)
-	for i, b := range bits {
-		if b {
-			s[nibbles-1-i/4] |= 1 << uint(i%4)
-		}
-	}
-	const hexdigits = "0123456789abcdef"
-	for i := range s {
-		s[i] = hexdigits[s[i]]
-	}
-	return "0x" + string(s), nil
 }
 
 // printInfo renders the per-layer structure of a model and its lowered

@@ -1,27 +1,18 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
+	"math"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"c2nn"
-	"c2nn/internal/compile"
-	"c2nn/internal/exec/backend"
 	"c2nn/internal/obs"
-	"c2nn/internal/testbench"
+	"c2nn/internal/simengine"
 )
-
-// errWatchStop is the sentinel the replay trace hook returns to unwind
-// a testbench run cleanly when the watch deadline or a signal fires.
-var errWatchStop = errors.New("watch: stop requested")
 
 // runWatch implements the "c2nn watch" subcommand: attach the
 // continuous-telemetry layer (sampler, flight recorder, HTTP server)
@@ -33,71 +24,33 @@ var errWatchStop = errors.New("watch: stop requested")
 // (or -duration) stops it, writing the -flight dump on the way out.
 func runWatch(args []string) error {
 	fs := flag.NewFlagSet("c2nn watch", flag.ExitOnError)
+	s := sessionFlags(fs, "[-serve :addr] [-interval 1s] [-duration 30s] [-flight out.json]", "bitpacked", 256)
 	var (
-		circuit  = fs.String("circuit", "", "watch a built-in benchmark circuit (case-insensitive)")
-		tbPath   = fs.String("tb", "", "testbench script to replay in a loop (the circuit is inferred from the file name unless -circuit is given)")
-		lutSize  = fs.Int("L", 7, "LUT size (max inputs per Boolean function)")
-		backendF = fs.String("backend", "bitpacked", "execution substrate: float32, int32 or bitpacked")
-		batch    = fs.Int("batch", 256, "engine batch size (stimulus lanes)")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines")
 		interval = fs.Duration("interval", time.Second, "sampling / refresh interval")
 		serve    = fs.String("serve", "", "serve telemetry over HTTP on this address (e.g. :9090 or 127.0.0.1:0)")
 		duration = fs.Duration("duration", 0, "stop after this wall-clock time (0 runs until interrupted)")
-		loops    = fs.Int("loops", 0, "stop after this many testbench replays (0 is unbounded)")
+		loops    = fs.Int("loops", 0, "stop after this many testbench replays, or random-stimulus cycles without -tb (0 is unbounded)")
 		flight   = fs.String("flight", "", "write the flight-recorder Chrome trace here on exit (and on SIGQUIT)")
 		flightN  = fs.Int("flight-events", obs.DefaultFlightEvents, "flight-recorder ring capacity")
 		history  = fs.Int("history", obs.DefaultSampleCapacity, "sampler time-series ring capacity")
-		seed     = fs.Int64("seed", 1, "random-stimulus seed (no-testbench runs)")
 		plain    = fs.Bool("plain", false, "append table snapshots instead of redrawing in place (for logs/CI)")
 		quiet    = fs.Bool("quiet", false, "suppress the periodic table entirely")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn watch [-circuit name | -tb script.tb] [-serve :addr] [-interval 1s] [-duration 30s] [-flight out.json]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	src, err := target(*circuit, *tbPath, "", nil)
-	if err != nil {
-		return err
-	}
-	prec, err := backend.ParseKind(*backendF)
-	if err != nil {
-		return err
-	}
-	var script *testbench.Script
-	if *tbPath != "" {
-		src, err := os.ReadFile(*tbPath)
-		if err != nil {
-			return err
-		}
-		script, err = testbench.Parse(string(src))
-		if err != nil {
-			return fmt.Errorf("%s: %w", *tbPath, err)
-		}
 	}
 
 	tr := obs.New()
 	rec := obs.NewFlightRecorder(*flightN)
 	tr.AttachFlightRecorder(rec)
-	cres, err := compile.Run(src, compile.Options{L: *lutSize, Trace: tr}, nil)
-	if err != nil {
+	if err := s.open("", fs.Args(), tr); err != nil {
 		return err
 	}
-	model := cres.Model
-	eng, err := c2nn.NewEngine(model, c2nn.EngineOptions{
-		Batch:     *batch,
-		Workers:   *workers,
-		Precision: prec,
-		Activity:  true,
-		Stats:     true,
-		Trace:     tr,
-	})
-	if err != nil {
+	s.opts.Activity, s.opts.Stats = true, true
+	if err := s.start(); err != nil {
 		return err
 	}
+	eng := s.eng
 	defer eng.Close()
 
 	sampler := obs.NewSampler(tr, *interval, *history)
@@ -156,70 +109,48 @@ func runWatch(args []string) error {
 		case <-quit:
 			dumpFlight("SIGQUIT")
 		case <-render.C:
-			printWatchTable(eng, tr, src.Name, prec.String(), replays, *plain, *quiet)
+			printWatchTable(eng, tr, s.name, s.opts.Precision.String(), replays, *plain, *quiet)
 		default:
 		}
 		return stopped
 	}
 
 	fmt.Fprintf(os.Stderr, "watch: %s (L=%d, %s, batch %d) — ctrl-c stops, SIGQUIT dumps the flight recorder\n",
-		src.Name, *lutSize, prec, *batch)
+		s.name, s.model.L, s.opts.Precision, eng.Batch())
 
-	rng := rand.New(rand.NewSource(*seed))
-	vals := make([]uint64, *batch)
-	bits := make([]bool, 0, 128)
+	// With a testbench one drive is one replay; without, one drive is the
+	// whole run and every random-stimulus cycle counts as a replay.
+	cycles := 0
+	if s.script == nil {
+		if cycles = *loops; cycles == 0 {
+			cycles = math.MaxInt
+		}
+	}
+	stepped := func() error {
+		if s.script == nil {
+			replays++
+		}
+		if shouldStop() {
+			return errStop
+		}
+		return nil
+	}
 	for !shouldStop() && (*loops == 0 || replays < *loops) {
-		if script != nil {
-			_, err := script.RunOpts(eng, testbench.RunOptions{
-				Trace: func(int) error {
-					if shouldStop() {
-						return errWatchStop
-					}
-					return nil
-				},
-			})
-			if err != nil && !errors.Is(err, errWatchStop) {
-				dumpFlight("error")
-				return fmt.Errorf("watch: replaying %s: %w", *tbPath, err)
-			}
+		if _, err := s.drive(cycles, nil, stepped); err != nil {
+			dumpFlight("error")
+			return err
+		}
+		if s.script != nil {
 			// Re-arm the script for the next replay: the testbench
 			// assumes reset state, and the wipe is an activity
 			// invalidation the flight recorder logs.
 			eng.Reset()
-		} else {
-			// No testbench: drive random stimuli, one cycle per loop.
-			for _, in := range model.Inputs {
-				w := len(in.Units)
-				if w > 64 {
-					for lane := 0; lane < *batch; lane++ {
-						bits = bits[:0]
-						for i := 0; i < w; i++ {
-							bits = append(bits, rng.Intn(2) == 1)
-						}
-						if err := eng.SetInputBits(in.Name, lane, bits); err != nil {
-							return err
-						}
-					}
-					continue
-				}
-				for lane := range vals {
-					v := rng.Uint64()
-					if w < 64 {
-						v &= 1<<uint(w) - 1
-					}
-					vals[lane] = v
-				}
-				if err := eng.SetInput(in.Name, vals); err != nil {
-					return err
-				}
-			}
-			eng.Step()
+			replays++
 		}
-		replays++
 	}
 
 	sampler.TakeSample()
-	printWatchTable(eng, tr, src.Name, prec.String(), replays, true, *quiet)
+	printWatchTable(eng, tr, s.name, s.opts.Precision.String(), replays, true, *quiet)
 	dumpFlight("exit")
 	return nil
 }
@@ -227,7 +158,7 @@ func runWatch(args []string) error {
 // printWatchTable renders one refresh of the live stats table. With
 // plain=false it homes the cursor and clears the screen first, so the
 // table redraws in place on a terminal.
-func printWatchTable(eng *c2nn.Engine, tr *c2nn.Trace, circuit, backendName string, replays int, plain, quiet bool) {
+func printWatchTable(eng *simengine.Engine, tr *obs.Trace, circuit, backendName string, replays int, plain, quiet bool) {
 	// Snapshot before the quiet check: snapshotting is what publishes
 	// the engine.* gauges to the registry, and -quiet runs (the CI
 	// scrape test) still want them on /metrics.

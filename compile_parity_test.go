@@ -52,8 +52,6 @@ func TestCompileEntryPointsBytePinned(t *testing.T) {
 				case "default":
 				case "merge":
 					opts.NoMerge = false
-				case "flowmap":
-					opts.FlowMap = true
 				case "coalesce16":
 					opts.CoalesceWide = 16
 				default:

@@ -41,12 +41,12 @@ func main() {
 		res.GenTime.Round(time.Millisecond))
 
 	// §IV-A: outputs must match the gate-level reference exactly.
-	if _, err := simengine.Verify(res.Model, res.Program, 12, 4, 7); err != nil {
+	if _, err := simengine.Verify(res.Model, res.Program, 12, simengine.Options{Batch: 4}, 7); err != nil {
 		log.Fatal("equivalence check failed: ", err)
 	}
 	fmt.Println("  equivalence with gate-level simulation: VERIFIED")
 
-	stim := bench.NewStimulusSet(res.Netlist, 32, *batch, 42)
+	stim := bench.NewStimulusSet(res.Model, 32, *batch, 42)
 	const minT = 500 * time.Millisecond
 
 	base := bench.BaselineThroughput(res.Program, stim, minT)

@@ -32,7 +32,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s at L=%d: %v", c.Name, l, err)
 			}
-			v, err := simengine.Verify(res.Model, res.Program, *cycles, *batch, 2026)
+			v, err := simengine.Verify(res.Model, res.Program, *cycles, simengine.Options{Batch: *batch}, 2026)
 			if err != nil {
 				log.Fatalf("%s at L=%d: MISMATCH: %v", c.Name, l, err)
 			}

@@ -34,7 +34,7 @@ func runAblations(e *Env, out *emitter) error {
 		if merged.Model, err = nn.Merge(unmerged.Model); err != nil {
 			return err
 		}
-		stim := NewStimulusSet(merged.Netlist, 64, e.Batch, e.Seed)
+		stim := NewStimulusSet(merged.Model, 64, e.Batch, e.Seed)
 		pt := out.at(c.Name, l)
 		for _, side := range []struct {
 			variant string

@@ -59,7 +59,7 @@ func measureActivity(e *Env, out *emitter, res *CompileResult, script *testbench
 		}
 		defer engines[i].Close()
 	}
-	stim := NewStimulusSet(res.Netlist, denseCycles, e.Batch, e.Seed)
+	stim := NewStimulusSet(res.Model, denseCycles, e.Batch, e.Seed)
 
 	// Equality pass: identical stimuli into both engines, every output
 	// port of every lane recorded at every sample, recordings diffed.
@@ -84,10 +84,8 @@ func measureActivity(e *Env, out *emitter, res *CompileResult, script *testbench
 			continue
 		}
 		for c := 0; c < denseCycles; c++ {
-			for p, port := range stim.Ports {
-				if err := eng.SetInput(port, stim.Values[c][p]); err != nil {
-					return err
-				}
+			if err := stim.Load(eng, stim.Values[c]); err != nil {
+				return err
 			}
 			eng.Forward()
 			if err := record(); err != nil {

@@ -87,7 +87,7 @@ func runAnalyze(e *Env, out *emitter) error {
 		// Drive the bit-packed backend with random stimuli for long enough
 		// to accumulate a per-layer time profile, then correlate it with
 		// the static per-layer packed-word-op cost.
-		stim := NewStimulusSet(res.Netlist, 64, e.Batch, e.Seed)
+		stim := NewStimulusSet(res.Model, 64, e.Batch, e.Seed)
 		if _, err := measure(e.MinMeasure, stim.drive(eng)); err != nil {
 			return err
 		}

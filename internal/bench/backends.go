@@ -25,7 +25,7 @@ func runBackends(e *Env, out *emitter) error {
 		if err != nil {
 			return err
 		}
-		stim := NewStimulusSet(res.Netlist, 64, e.Batch, e.Seed)
+		stim := NewStimulusSet(res.Model, 64, e.Batch, e.Seed)
 		pt := out.at(c.Name, l)
 		pt.count("gates", int64(res.Netlist.GateCount()))
 		gcs := map[simengine.Precision]float64{}

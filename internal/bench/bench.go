@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"c2nn/internal/circuits"
@@ -95,40 +94,22 @@ func Compile(c circuits.Circuit, opts compile.Options) (*CompileResult, error) {
 	}, nil
 }
 
-// StimulusSet is a pre-generated random stimulus stream: one value
-// sequence per input port per cycle per lane. Pre-generating keeps data
-// creation out of the timed region, as the paper specifies (§IV).
+// StimulusSet is a pre-generated random stimulus stream drawn from the
+// one generator (simengine.Stimulus), whose Load and Poke it inherits.
+// Pre-generating keeps data creation out of the timed region, as the
+// paper specifies (§IV).
 type StimulusSet struct {
-	Ports  []string
-	Widths []int
-	// Values[cycle][port][lane].
-	Values [][][]uint64
+	*simengine.Stimulus
+	// Values[cycle] is one generated cycle.
+	Values []simengine.Cycle
 	Cycles int
-	Lanes  int
 }
 
-// NewStimulusSet draws random stimuli for every input port of a netlist.
-func NewStimulusSet(nl *netlist.Netlist, cycles, lanes int, seed int64) *StimulusSet {
-	rng := rand.New(rand.NewSource(seed))
-	s := &StimulusSet{Cycles: cycles, Lanes: lanes}
-	for i := range nl.Inputs {
-		s.Ports = append(s.Ports, nl.Inputs[i].Name)
-		s.Widths = append(s.Widths, nl.Inputs[i].Width())
-	}
-	s.Values = make([][][]uint64, cycles)
-	for c := 0; c < cycles; c++ {
-		s.Values[c] = make([][]uint64, len(s.Ports))
-		for p := range s.Ports {
-			vals := make([]uint64, lanes)
-			for l := 0; l < lanes; l++ {
-				v := rng.Uint64()
-				if s.Widths[p] < 64 {
-					v &= 1<<uint(s.Widths[p]) - 1
-				}
-				vals[l] = v
-			}
-			s.Values[c][p] = vals
-		}
+// NewStimulusSet draws random stimuli for every input port of a model.
+func NewStimulusSet(model *nn.Model, cycles, lanes int, seed int64) *StimulusSet {
+	s := &StimulusSet{Stimulus: simengine.NewStimulus(model, lanes, seed), Values: make([]simengine.Cycle, cycles), Cycles: cycles}
+	for c := range s.Values {
+		s.Values[c] = s.Next(nil)
 	}
 	return s
 }
@@ -141,11 +122,13 @@ func (s *StimulusSet) BitMajor() [][][]uint64 {
 	words := make([][][]uint64, s.Cycles)
 	for c := range words {
 		words[c] = make([][]uint64, len(s.Ports))
-		for p, width := range s.Widths {
-			w := make([]uint64, width)
+		for p, port := range s.Ports {
+			w := make([]uint64, len(port.Units))
 			for l := 0; l < 64 && l < s.Lanes; l++ {
-				for bit := 0; bit < width && bit < 64; bit++ {
-					w[bit] |= s.Values[c][p][l] >> uint(bit) & 1 << uint(l)
+				for bit, v := range s.Bits(s.Values[c], p, l) {
+					if v {
+						w[bit] |= 1 << uint(l)
+					}
 				}
 			}
 			words[c][p] = w
@@ -161,12 +144,10 @@ func (s *StimulusSet) BitMajor() [][][]uint64 {
 func (s *StimulusSet) drive(eng *simengine.Engine) func() error {
 	cycle := 0
 	return func() error {
-		sc := s.Values[cycle%s.Cycles]
+		c := s.Values[cycle%s.Cycles]
 		cycle++
-		for p, name := range s.Ports {
-			if err := eng.SetInput(name, sc[p]); err != nil {
-				return err
-			}
+		if err := s.Load(eng, c); err != nil {
+			return err
 		}
 		eng.Step()
 		return nil
@@ -176,16 +157,14 @@ func (s *StimulusSet) drive(eng *simengine.Engine) func() error {
 // scalarThroughput drives a one-stimulus-per-pass gate simulator with
 // lane 0 of the stimulus for at least minTime; gates·cycles/s.
 func scalarThroughput(sim interface {
-	Poke(string, uint64) error
+	PokeBits(string, []bool) error
 	Step()
 }, prog *gatesim.Program, stim *StimulusSet, minTime time.Duration) float64 {
 	cycle := 0
 	t, _ := measure(minTime, func() error {
-		sc := stim.Values[cycle%stim.Cycles]
+		c := stim.Values[cycle%stim.Cycles]
 		cycle++
-		for p, name := range stim.Ports {
-			sim.Poke(name, sc[p][0]) // ports come from the same netlist
-		}
+		stim.Poke(sim, c, 0) // ports come from the same netlist
 		sim.Step()
 		return nil
 	})
@@ -212,8 +191,8 @@ func Batch64Throughput(prog *gatesim.Program, stim *StimulusSet, minTime time.Du
 	t, _ := measure(minTime, func() error {
 		wc := words[cycle%stim.Cycles]
 		cycle++
-		for p, name := range stim.Ports {
-			sim.Poke(name, wc[p]) // ports and widths come from the same netlist
+		for p, port := range stim.Ports {
+			sim.Poke(port.Name, wc[p]) // ports and widths come from the same netlist
 		}
 		sim.Step()
 		return nil

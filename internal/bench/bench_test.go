@@ -93,38 +93,48 @@ func TestAllCircuitsEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s L=%d: %v", c.Name, l, err)
 			}
-			if _, err := simengine.Verify(res.Model, res.Program, 8, 4, 99); err != nil {
+			if _, err := simengine.Verify(res.Model, res.Program, 8, simengine.Options{Batch: 4}, 99); err != nil {
 				t.Errorf("%s L=%d: %v", c.Name, l, err)
 			}
 		}
 	}
 }
 
+// TestStimulusSetShape: the pre-generated set has the requested shape,
+// no value exceeds its port's width, and BitMajor is the exact
+// transpose of the first 64 lanes at full port width (AES has 128-bit
+// ports).
 func TestStimulusSetShape(t *testing.T) {
-	c, _ := circuits.ByName("SPI")
-	nl, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStimulusSet(nl, 8, 80, 5)
-	if s.Cycles != 8 || s.Lanes != 80 || len(s.Ports) != len(nl.Inputs) {
-		t.Fatalf("bad stimulus shape: %+v", s)
-	}
-	words := s.BitMajor()
-	for p, w := range s.Widths {
-		if w >= 64 {
-			continue
+	for _, name := range []string{"SPI", "AES"} {
+		c, _ := circuits.ByName(name)
+		res, err := Compile(c, compile.Options{L: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		limit := uint64(1)<<uint(w) - 1
-		for c := range s.Values {
-			for lane, v := range s.Values[c][p] {
-				if v > limit {
-					t.Fatalf("stimulus exceeds port width")
+		s := NewStimulusSet(res.Model, 8, 80, 5)
+		if s.Cycles != 8 || s.Lanes != 80 || len(s.Values) != 8 || len(s.Ports) != len(res.Netlist.Inputs) {
+			t.Fatalf("%s: bad stimulus shape: %d cycles, %d lanes, %d ports", name, len(s.Values), s.Lanes, len(s.Ports))
+		}
+		if first := simengine.NewStimulus(res.Model, 80, 5).Next(nil); !reflect.DeepEqual(s.Values[0], first) {
+			t.Fatalf("%s: seed 5 gives the set a different stream than the generator itself", name)
+		}
+		words := s.BitMajor()
+		for p, port := range s.Ports {
+			w := len(port.Units)
+			perLane := (w + 63) / 64
+			for c, cyc := range s.Values {
+				if len(cyc[p]) != 80*perLane {
+					t.Fatalf("%s port %s: %d words for 80 lanes of %d bits", name, port.Name, len(cyc[p]), w)
 				}
-				// BitMajor holds the first 64 lanes, one lane per word bit.
-				for bit := 0; bit < w && lane < 64; bit++ {
-					if words[c][p][bit]>>uint(lane)&1 != v>>uint(bit)&1 {
-						t.Fatalf("cycle %d port %d lane %d bit %d transposed wrongly", c, p, lane, bit)
+				for lane := 0; lane < 80; lane++ {
+					if top := cyc[p][lane*perLane+perLane-1]; w%64 != 0 && top>>uint(w%64) != 0 {
+						t.Fatalf("%s port %s lane %d: stimulus exceeds port width", name, port.Name, lane)
+					}
+					// BitMajor holds the first 64 lanes, one lane per word bit.
+					for bit := 0; bit < w && lane < 64; bit++ {
+						if words[c][p][bit]>>uint(lane)&1 != cyc[p][lane*perLane+bit/64]>>uint(bit%64)&1 {
+							t.Fatalf("%s cycle %d port %s lane %d bit %d transposed wrongly", name, c, port.Name, lane, bit)
+						}
 					}
 				}
 			}

@@ -30,7 +30,7 @@ func runTable1(e *Env, out *emitter) error {
 		}
 		if c.Name != prev { // the baseline is independent of L: once per circuit
 			prev = c.Name
-			stim = NewStimulusSet(res.Netlist, 64, e.Batch, e.Seed)
+			stim = NewStimulusSet(res.Model, 64, e.Batch, e.Seed)
 			baseline = BaselineThroughput(res.Program, stim, e.MinMeasure)
 			e.logf("[%s] baseline %.3g gates·cycles/s (%d gates)", c.Name, baseline, res.Netlist.GateCount())
 		}
@@ -45,7 +45,7 @@ func runTable1(e *Env, out *emitter) error {
 		pt.count("layers", int64(stats.Layers))
 		pt.put("sparsity", stats.MeanSparsity, "ratio")
 		if e.VerifyCycles > 0 {
-			if _, err := simengine.Verify(res.Model, res.Program, e.VerifyCycles, 4, e.Seed); err != nil {
+			if _, err := simengine.Verify(res.Model, res.Program, e.VerifyCycles, simengine.Options{Batch: 4}, e.Seed); err != nil {
 				return fmt.Errorf("equivalence check failed: %w", err)
 			}
 		}

@@ -48,7 +48,7 @@ func runTelemetry(e *Env, out *emitter) error {
 		if err != nil {
 			return err
 		}
-		stim := NewStimulusSet(res.Netlist, 64, e.Batch, e.Seed)
+		stim := NewStimulusSet(res.Model, 64, e.Batch, e.Seed)
 		var best [2]telemetryLeg // off, on
 		for r := 0; r < telemetryReps; r++ {
 			// Alternate which leg runs first so slow machine drift

@@ -28,8 +28,6 @@ type Options struct {
 	// L is the LUT size hyperparameter. Larger L gives shallower
 	// networks with exponentially more connections (§III-B1).
 	L int
-	// FlowMap selects the depth-optimal mapper instead of priority cuts.
-	FlowMap bool
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
 	// wide LUTs of up to this many inputs after mapping (§V).
 	CoalesceWide int
@@ -143,11 +141,7 @@ func (res *Result) walk(src Source, opts Options, after func(Stage, *Result) err
 	if err = boundary(StageAIG); err != nil {
 		return err
 	}
-	mopts := lutmap.Options{K: opts.L, Trace: tr}
-	if opts.FlowMap {
-		mopts.Algorithm = lutmap.FlowMap
-	}
-	if res.Mapping, err = lutmap.MapLowered(nl, res.AIG, res.AIGOuts, mopts); err != nil {
+	if res.Mapping, err = lutmap.MapLowered(nl, res.AIG, res.AIGOuts, lutmap.Options{K: opts.L, Trace: tr}); err != nil {
 		return err
 	}
 	msp.End()

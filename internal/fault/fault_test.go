@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"math/rand"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -280,7 +280,7 @@ endmodule
 		if err != nil {
 			t.Fatalf("%v: %v", prec, err)
 		}
-		rng := rand.New(rand.NewSource(7))
+		stim := simengine.NewStimulus(model, 1, 7)
 		for lo := 0; lo < len(sims); lo += batch - 1 {
 			hi := lo + batch - 1
 			if hi > len(sims) {
@@ -302,13 +302,13 @@ endmodule
 			}
 			for vec := 0; vec < 8; vec++ {
 				pis := make([]bool, g.NumPIs)
-				for _, in := range model.Inputs {
-					v := rng.Uint64() & (1<<uint(len(in.Units)) - 1)
-					if err := eng.SetInputUniform(in.Name, v); err != nil {
-						t.Fatal(err)
-					}
-					for i, unit := range in.Units {
-						pis[int(unit)-1] = v>>uint(i)&1 == 1
+				in := stim.Next(nil)
+				if err := stim.Load(eng, in); err != nil {
+					t.Fatal(err)
+				}
+				for p, port := range model.Inputs {
+					for i, bit := range stim.Bits(in, p, 0) {
+						pis[int(port.Units[i])-1] = bit
 					}
 				}
 				eng.Forward()
@@ -425,16 +425,11 @@ func TestGradeGoldenLaneUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(3))
+	stim := simengine.NewStimulus(model, 1, 3)
 	for cyc := 0; cyc < 32; cyc++ {
-		for _, in := range model.Inputs {
-			v := rng.Uint64() & (1<<uint(len(in.Units)) - 1)
-			if err := faulty.SetInputUniform(in.Name, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := clean.SetInputUniform(in.Name, v); err != nil {
-				t.Fatal(err)
-			}
+		in := stim.Next(nil)
+		if err := errors.Join(stim.Load(faulty, in), stim.Load(clean, in)); err != nil {
+			t.Fatal(err)
 		}
 		faulty.Step()
 		clean.Step()

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"c2nn/internal/lutmap"
@@ -187,30 +186,12 @@ func Grade(model *nn.Model, g *lutmap.Graph, u *Universe, script *testbench.Scri
 		if cfg.RandomCycles > 0 {
 			// Every round replays the same random stimuli so all fault
 			// classes are graded against one stimulus set.
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			bits := make([]bool, 0, 128)
+			stim := simengine.NewStimulus(model, 1, cfg.Seed)
+			var c simengine.Cycle
 			for cyc := 0; cyc < cfg.RandomCycles; cyc++ {
-				for _, in := range model.Inputs {
-					w := len(in.Units)
-					if w > 64 {
-						bits = bits[:0]
-						for i := 0; i < w; i++ {
-							bits = append(bits, rng.Intn(2) == 1)
-						}
-						for lane := 0; lane < cfg.Batch; lane++ {
-							if err := eng.SetInputBits(in.Name, lane, bits); err != nil {
-								return nil, err
-							}
-						}
-						continue
-					}
-					v := rng.Uint64()
-					if w < 64 {
-						v &= 1<<uint(w) - 1
-					}
-					if err := eng.SetInputUniform(in.Name, v); err != nil {
-						return nil, err
-					}
+				c = stim.Next(c)
+				if err := stim.Load(eng, c); err != nil {
+					return nil, err
 				}
 				eng.Forward()
 				for _, out := range model.Outputs {

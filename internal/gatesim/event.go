@@ -97,6 +97,23 @@ func (s *EventSim) Poke(name string, v uint64) error {
 	return nil
 }
 
+// PokeBits sets an input port from a bit slice at any width — the
+// wide-port counterpart of Poke. Missing bits read as zero.
+func (s *EventSim) PokeBits(name string, bits []bool) error {
+	port := s.p.nl.FindInput(name)
+	if port == nil {
+		return errNoPort(name)
+	}
+	for i, b := range port.Bits {
+		nv := i < len(bits) && bits[i]
+		if s.vals[b] != nv {
+			s.vals[b] = nv
+			s.markFanout(int32(b))
+		}
+	}
+	return nil
+}
+
 func (s *EventSim) markFanout(net int32) {
 	for _, gi := range s.fanout[net] {
 		if !s.dirty[gi] {

@@ -49,7 +49,7 @@ func buildModel(t *testing.T, src, top string, k int) (*netlist.Netlist, *nn.Mod
 func TestVerifyCRC(t *testing.T) {
 	for _, k := range []int{3, 6} {
 		_, model, prog := buildModel(t, crcSrc, "crc8", k)
-		res, err := Verify(model, prog, 60, 8, 42)
+		res, err := Verify(model, prog, 60, Options{Batch: 8}, 42)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -310,7 +310,7 @@ module wide(input clk, input [63:0] a, b, output [127:0] y);
   assign y = r;
 endmodule`
 	_, model, prog := buildModel(t, src, "wide", 4)
-	res, err := Verify(model, prog, 20, 3, 11)
+	res, err := Verify(model, prog, 20, Options{Batch: 3}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,19 +379,15 @@ func TestKeepAllActivations(t *testing.T) {
 			reuse.Plan().ArenaUnits, keep.Plan().ArenaUnits)
 	}
 
-	rng := rand.New(rand.NewSource(7))
+	stim := NewStimulus(model, 4, 7)
 	for step := 0; step < 20; step++ {
-		for _, port := range []string{"rst", "en", "din"} {
-			v := rng.Uint64()
-			if step == 0 && port == "rst" {
-				v = ^uint64(0)
-			}
-			vals := []uint64{v, v >> 1, v >> 2, v >> 3}
-			if err := keep.SetInput(port, vals); err != nil {
+		in := stim.Next(nil)
+		for _, eng := range []*Engine{keep, reuse} {
+			if err := stim.Load(eng, in); err != nil {
 				t.Fatal(err)
 			}
-			if err := reuse.SetInput(port, vals); err != nil {
-				t.Fatal(err)
+			if step == 0 {
+				eng.SetInputUniform("rst", 1)
 			}
 		}
 		keep.Step()

@@ -2,7 +2,6 @@ package simengine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"c2nn/internal/gatesim"
 	"c2nn/internal/nn"
@@ -16,78 +15,46 @@ type VerifyResult struct {
 	Compared int64 // port-value comparisons performed
 }
 
-// Verify performs the §IV-A correctness check: it drives the NN engine
-// and the gate-level reference simulator with identical random stimuli
-// for the given number of cycles and compares every output port value in
-// every batch lane on every cycle. The first mismatch is returned as an
-// error.
-func Verify(model *nn.Model, prog *gatesim.Program, cycles, batch int, seed int64) (VerifyResult, error) {
-	res := VerifyResult{Cycles: cycles, Batch: batch}
-	eng, err := New(model, Options{Batch: batch})
+// Verify performs the §IV-A correctness check: it drives an NN engine
+// built with opts — so the backend, worker count and batch under test
+// are the caller's — and one gate-level reference simulator per lane
+// with identical random stimuli for the given number of cycles, and
+// compares every bit of every output port in every lane on every cycle.
+// The first mismatch is returned as an error.
+func Verify(model *nn.Model, prog *gatesim.Program, cycles int, opts Options, seed int64) (VerifyResult, error) {
+	eng, err := New(model, opts)
 	if err != nil {
-		return res, err
+		return VerifyResult{Cycles: cycles}, err
 	}
-	nl := prog.Netlist()
-	refs := make([]*gatesim.Sim, batch)
+	defer eng.Close()
+	res := VerifyResult{Cycles: cycles, Batch: eng.Batch(), Ports: len(model.Outputs)}
+	refs := make([]*gatesim.Sim, res.Batch)
 	for b := range refs {
 		refs[b] = gatesim.NewSim(prog)
 	}
-	res.Ports = len(nl.Outputs)
-	rng := rand.New(rand.NewSource(seed))
-
-	inputs := make(map[string][]uint64, len(nl.Inputs))
-	for pi := range nl.Inputs {
-		inputs[nl.Inputs[pi].Name] = make([]uint64, batch)
-	}
+	stim := NewStimulus(model, res.Batch, seed)
+	var c Cycle
 
 	for cyc := 0; cyc < cycles; cyc++ {
-		for pi := range nl.Inputs {
-			port := &nl.Inputs[pi]
-			vals := inputs[port.Name]
-			for b := 0; b < batch; b++ {
-				vals[b] = rng.Uint64()
-				if port.Width() < 64 {
-					vals[b] &= 1<<uint(port.Width()) - 1
-				}
-			}
-			if err := eng.SetInput(port.Name, vals); err != nil {
-				return res, err
-			}
-			for b := 0; b < batch; b++ {
-				if err := refs[b].Poke(port.Name, vals[b]); err != nil {
-					return res, err
-				}
-			}
+		c = stim.Next(c)
+		if err := stim.Load(eng, c); err != nil {
+			return res, err
 		}
 		eng.Forward()
-		for b := 0; b < batch; b++ {
-			refs[b].Eval()
-		}
-		for pi := range nl.Outputs {
-			port := &nl.Outputs[pi]
-			if port.Width() <= 64 {
-				got, err := eng.GetOutput(port.Name)
-				if err != nil {
-					return res, err
-				}
-				for b := 0; b < batch; b++ {
-					want, _ := refs[b].Peek(port.Name)
-					res.Compared++
-					if got[b] != want {
-						return res, fmt.Errorf(
-							"simengine: cycle %d lane %d port %s: NN=%#x, gate-level=%#x",
-							cyc, b, port.Name, got[b], want)
-					}
-				}
-				continue
+		for b, ref := range refs {
+			if err := stim.Poke(ref, c, b); err != nil {
+				return res, err
 			}
-			// Wide bus: compare every bit.
-			for b := 0; b < batch; b++ {
-				got, err := eng.GetOutputBits(port.Name, b)
+			ref.Eval()
+		}
+		for _, out := range model.Outputs {
+			name := out.Name
+			for b, ref := range refs {
+				got, err := eng.GetOutputBits(name, b)
 				if err != nil {
 					return res, err
 				}
-				want, err := refs[b].PeekBits(port.Name)
+				want, err := ref.PeekBits(name)
 				if err != nil {
 					return res, err
 				}
@@ -96,14 +63,14 @@ func Verify(model *nn.Model, prog *gatesim.Program, cycles, batch int, seed int6
 					if got[i] != want[i] {
 						return res, fmt.Errorf(
 							"simengine: cycle %d lane %d port %s bit %d: NN=%v, gate-level=%v",
-							cyc, b, port.Name, i, got[i], want[i])
+							cyc, b, name, i, got[i], want[i])
 					}
 				}
 			}
 		}
 		eng.LatchFeedback()
-		for b := 0; b < batch; b++ {
-			refs[b].Step()
+		for _, ref := range refs {
+			ref.Step()
 		}
 	}
 	return res, nil

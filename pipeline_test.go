@@ -98,7 +98,7 @@ func TestRandomCircuitPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: gatesim: %v", trial, err)
 		}
-		if _, err := simengine.Verify(model, prog, 12, 4, int64(trial)); err != nil {
+		if _, err := simengine.Verify(model, prog, 12, simengine.Options{Batch: 4}, int64(trial)); err != nil {
 			t.Fatalf("trial %d (K=%d merge=%v, %d gates, %d FFs): %v",
 				trial, k, merge, nGates, nFFs, err)
 		}
@@ -128,7 +128,7 @@ func TestRandomCircuitFlowMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := simengine.Verify(model, prog, 8, 2, int64(trial)); err != nil {
+		if _, err := simengine.Verify(model, prog, 8, simengine.Options{Batch: 2}, int64(trial)); err != nil {
 			t.Fatalf("trial %d (K=%d): %v", trial, k, err)
 		}
 	}
@@ -174,7 +174,7 @@ endmodule`})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := simengine.Verify(model, prog, 40, 4, 77); err != nil {
+		if _, err := simengine.Verify(model, prog, 40, simengine.Options{Batch: 4}, 77); err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestCoalescedPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := simengine.Verify(model, prog, 10, 3, int64(trial)); err != nil {
+		if _, err := simengine.Verify(model, prog, 10, simengine.Options{Batch: 3}, int64(trial)); err != nil {
 			t.Fatalf("trial %d (K=%d): %v", trial, k, err)
 		}
 	}

@@ -6,12 +6,14 @@ package c2nn
 // and synthesis against each other.
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"c2nn/internal/gatesim"
 	"c2nn/internal/netlist"
+	"c2nn/internal/simengine"
 	"c2nn/internal/synth"
 )
 
@@ -85,7 +87,6 @@ func TestWriterRoundTripBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = model
 		c := mustCircuit(t, name)
 		nl, err := c.Elaborate()
 		if err != nil {
@@ -96,16 +97,11 @@ func TestWriterRoundTripBenchmarks(t *testing.T) {
 		progB, _ := gatesim.Compile(back)
 		simA := gatesim.NewSim(progA)
 		simB := gatesim.NewSim(progB)
-		rng := rand.New(rand.NewSource(5))
+		stim := simengine.NewStimulus(model, 1, 5)
 		for cyc := 0; cyc < 24; cyc++ {
-			for i := range nl.Inputs {
-				port := &nl.Inputs[i]
-				v := rng.Uint64()
-				if port.Width() < 64 {
-					v &= 1<<uint(port.Width()) - 1
-				}
-				simA.Poke(port.Name, v)
-				simB.Poke(port.Name, v)
+			in := stim.Next(nil)
+			if err := errors.Join(stim.Poke(simA, in, 0), stim.Poke(simB, in, 0)); err != nil {
+				t.Fatal(err)
 			}
 			simA.Eval()
 			simB.Eval()
