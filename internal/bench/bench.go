@@ -3,8 +3,7 @@
 // (Table I, Fig. 4, Fig. 6), the ablations called out in DESIGN.md and
 // the per-subsystem measurements later PRs added, all emitting one row
 // schema into one ledger (ledger.go) checked by one gate (gate.go).
-// cmd/bench walks the table from the command line; bench_test.go at the
-// repository root wraps the same measurements in testing.B benchmarks.
+// cmd/bench walks the table from the command line.
 package bench
 
 import (

@@ -183,12 +183,6 @@ func (c *cnf) muxGate(sel, d0, d1 sat.Lit) sat.Lit {
 	return out
 }
 
-// assertEqual adds the two binary clauses making a and b equal.
-func (c *cnf) assertEqual(a, b sat.Lit) {
-	c.s.AddClause(a.Flip(), b)
-	c.s.AddClause(a, b.Flip())
-}
-
 // encodeNetlist lowers the combinational core of a netlist into CNF.
 // piLits holds one literal per combinational input in CombInputs order
 // with the two constants removed. It returns one literal per gate

@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"c2nn/internal/aig"
@@ -86,29 +87,46 @@ func TestProveMatrix(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("SAT matrix is an order of magnitude slower under -race; the CI equivalence job covers it")
 	}
+	// The proofs are independent and single-threaded, so they run as
+	// parallel subtests, listed longest first (L=11, then the three big
+	// circuits) so that RISC-V L=11 — 40 % of the matrix — is not left
+	// for the tail. Merged L=4 is the chain's merged branch, on every
+	// circuit where it is cheap.
+	type proof struct {
+		c     circuits.Circuit
+		l     int
+		merge bool
+	}
+	var proofs []proof
 	for _, c := range circuits.All() {
 		for _, l := range []int{4, 7, 11} {
-			res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: l}, Options{})
+			proofs = append(proofs, proof{c, l, false})
+		}
+		proofs = append(proofs, proof{c, 4, true})
+	}
+	rank := map[string]int{"RISC-V interface": 3, "SHA": 2, "DMA": 1}
+	sort.SliceStable(proofs, func(i, j int) bool {
+		if proofs[i].l != proofs[j].l {
+			return proofs[i].l > proofs[j].l
+		}
+		return rank[proofs[i].c.Name] > rank[proofs[j].c.Name]
+	})
+	for _, p := range proofs {
+		t.Run(fmt.Sprintf("%s/L=%d/merge=%v", p.c.Name, p.l, p.merge), func(t *testing.T) {
+			t.Parallel()
+			res, err := ProveSource(compile.FromCircuit(p.c), compile.Options{L: p.l, Merge: p.merge}, Options{})
 			if err != nil {
-				t.Fatalf("%s L=%d: %v", c.Name, l, err)
+				t.Fatal(err)
 			}
-			t.Logf("%-16s L=%2d total=%8.1fms sweep=%8.1fms rounds=%d merged=%d skipped=%d",
-				c.Name, l, res.TotalMillis, res.Sweep.SweepMs, res.Sweep.Rounds, res.Sweep.Merged, res.Sweep.Skipped)
+			t.Logf("total=%8.1fms sweep=%8.1fms rounds=%d merged=%d skipped=%d",
+				res.TotalMillis, res.Sweep.SweepMs, res.Sweep.Rounds, res.Sweep.Merged, res.Sweep.Skipped)
 			if !res.Equivalent {
 				for _, m := range res.Miters {
 					t.Logf("  %s: %s", m.Stage, m.Status)
 				}
-				t.Fatalf("%s L=%d not equivalent", c.Name, l)
+				t.Fatalf("not equivalent: %+v", res.Chain)
 			}
-		}
-		// The chain's merged branch, on every circuit where it is cheap.
-		res, err := ProveSource(compile.FromCircuit(c), compile.Options{L: 4, Merge: true}, Options{})
-		if err != nil {
-			t.Fatalf("%s L=4 merged: %v", c.Name, err)
-		}
-		if !res.Equivalent {
-			t.Fatalf("%s L=4 merged not equivalent: %+v", c.Name, res.Chain)
-		}
+		})
 	}
 }
 

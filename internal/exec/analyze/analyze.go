@@ -6,7 +6,7 @@
 //
 //   - cone-of-influence clustering (cones.go): each layer's rows are
 //     partitioned into FF/port-rooted clusters with forward
-//     cleanliness-propagation edges, serialized into the plan
+//     cleanliness-propagation edges, attached to the plan
 //     (plan.ClusterMeta) for the activity-driven backend to consume;
 //
 //   - a static cost model (cost.go): per-layer and per-cluster op

@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -197,37 +196,21 @@ func TestAliasingCleanAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestClusterRoundTrip pins serialization: write → read yields an equal
-// clustering, and recompiling the same circuit yields identical bytes.
+// TestClusterRoundTrip pins determinism: the clustering is derived
+// state, so recompiling the same circuit must yield an equal one.
 func TestClusterRoundTrip(t *testing.T) {
 	_, p := compilePlan(t, 4, false)
 	meta, err := Cones(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := meta.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan.ReadClusterMeta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(meta, got) {
-		t.Fatal("cluster metadata did not round-trip")
-	}
-
 	_, p2 := compilePlan(t, 4, false)
 	meta2, err := Cones(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	if _, err := meta2.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("identical compiles serialized different clusterings")
+	if !reflect.DeepEqual(meta, meta2) {
+		t.Fatal("identical compiles derived different clusterings")
 	}
 }
 

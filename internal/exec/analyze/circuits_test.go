@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -92,37 +91,27 @@ func eachForm(t *testing.T, ls []int, f func(t *testing.T, c circuits.Circuit, l
 }
 
 // TestClusterMetaStableAcrossCircuits recompiles every benchmark
-// circuit and requires the cluster metadata to (a) round-trip through
-// serialization bit for bit and structurally, and (b) come out
-// identical on an independent recompile — the determinism the
-// activity-driven backend will rely on when it loads clusters from a
-// plan compiled elsewhere.
+// circuit and requires the plan's row groups and the cluster metadata
+// to come out identical: both are derived state that every engine
+// re-lowers from the model, never stored.
 func TestClusterMetaStableAcrossCircuits(t *testing.T) {
 	eachForm(t, []int{4, 7}, func(t *testing.T, c circuits.Circuit, l int, merge bool) {
-		meta1, err := Cones(compileCircuit(t, c, l, merge))
+		p1, p2 := compileCircuit(t, c, l, merge), compileCircuit(t, c, l, merge)
+		for li := range p1.Layers {
+			if !reflect.DeepEqual(p1.Layers[li].Groups, p2.Layers[li].Groups) {
+				t.Fatalf("independent recompiles derive different row groups in layer %d", li)
+			}
+		}
+		meta1, err := Cones(p1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta2, err := Cones(compileCircuit(t, c, l, merge))
+		meta2, err := Cones(p2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf1, buf2 bytes.Buffer
-		if _, err := meta1.WriteTo(&buf1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := meta2.WriteTo(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-			t.Fatal("independent recompiles serialize different cluster metadata")
-		}
-		back, err := plan.ReadClusterMeta(&buf1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(meta1, back) {
-			t.Fatal("cluster metadata did not round-trip through serialization")
+		if !reflect.DeepEqual(meta1, meta2) {
+			t.Fatal("independent recompiles derive different cluster metadata")
 		}
 	})
 }

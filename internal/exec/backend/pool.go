@@ -6,7 +6,6 @@ import "sync"
 type poolJob struct {
 	lo, hi int
 	fn     func(lo, hi int)
-	wg     *sync.WaitGroup
 }
 
 // Pool is a persistent worker pool for row-partitioned layer execution
@@ -18,6 +17,10 @@ type poolJob struct {
 type Pool struct {
 	workers int
 	jobs    chan poolJob
+	// wg counts the chunks of the one dispatch in flight. A WaitGroup
+	// local to Run would escape through the job channel and cost a heap
+	// allocation per dispatch.
+	wg sync.WaitGroup
 }
 
 // NewPool starts a pool of the given width. Widths below 2 need no
@@ -31,7 +34,7 @@ func NewPool(workers int) *Pool {
 			go func() {
 				for j := range jobs {
 					j.fn(j.lo, j.hi)
-					j.wg.Done()
+					p.wg.Done()
 				}
 			}()
 		}
@@ -50,7 +53,9 @@ func (p *Pool) Workers() int {
 // Run applies fn over [0, n) partitioned into contiguous chunks, one
 // per worker, and waits for all of them. Small ranges (or a nil /
 // single-worker pool) run inline — the dispatch overhead outweighs any
-// parallel gain there.
+// parallel gain there. One dispatch is in flight per pool: Run must not
+// be called concurrently on the same pool (Backend.cur depends on that
+// too).
 func (p *Pool) Run(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -59,17 +64,16 @@ func (p *Pool) Run(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
 	chunk := (n + p.workers - 1) / p.workers
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		p.jobs <- poolJob{lo, hi, fn, &wg}
+		p.wg.Add(1)
+		p.jobs <- poolJob{lo, hi, fn}
 	}
-	wg.Wait()
+	p.wg.Wait()
 }
 
 // Close stops the workers. The pool must not be used afterwards; Close

@@ -1,17 +1,13 @@
 package plan
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// Cluster metadata: the serialized product of the static cone-of-
-// influence analysis (internal/exec/analyze). The types live here, next
-// to the Plan they annotate, so that the analyzer (which imports plan)
-// and the future activity-driven backend (which plan must not import)
-// share one definition without an import cycle.
+// Cluster metadata: the product of the static cone-of-influence
+// analysis (internal/exec/analyze). It is derived state, recomputed from
+// the model whenever a plan is compiled and never stored. The types live
+// here, next to the Plan they annotate, so that the analyzer (which
+// imports plan) and the activity-driven backend (which plan must not
+// import) share one definition without an import cycle.
 //
 // The model: every network unit sits in the influence cone of a set of
 // sequential roots — input ports and flip-flop Q bits. Units whose
@@ -84,206 +80,4 @@ type ClusterMeta struct {
 	Clusters []Cluster
 	// RowCluster maps [layer][row] to an index into Clusters.
 	RowCluster [][]int32
-}
-
-// ClusterAt returns the cluster covering the given layer row, or nil.
-func (m *ClusterMeta) ClusterAt(layer, row int) *Cluster {
-	if layer < 0 || layer >= len(m.RowCluster) {
-		return nil
-	}
-	rc := m.RowCluster[layer]
-	if row < 0 || row >= len(rc) {
-		return nil
-	}
-	ci := rc[row]
-	if ci < 0 || int(ci) >= len(m.Clusters) {
-		return nil
-	}
-	return &m.Clusters[ci]
-}
-
-// clusterMetaMagic and clusterMetaVersion pin the serialized format.
-const (
-	clusterMetaMagic   = "C2NNCLST"
-	clusterMetaVersion = 1
-)
-
-// WriteTo serializes the metadata in a deterministic binary format
-// (little-endian, no maps), so identical clusterings produce identical
-// bytes — the property the cross-compile regression test pins.
-func (m *ClusterMeta) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
-	put := func(v int32) { binary.Write(cw, binary.LittleEndian, v) }
-	io.WriteString(cw, clusterMetaMagic)
-	put(clusterMetaVersion)
-	put(m.NumComponents)
-	put(int32(len(m.Clusters)))
-	for i := range m.Clusters {
-		c := &m.Clusters[i]
-		put(c.Layer)
-		put(c.Component)
-		put(int32(len(c.Rows)))
-		for _, r := range c.Rows {
-			put(r)
-		}
-		put(int32(len(c.Roots)))
-		for _, rt := range c.Roots {
-			put(int32(rt.Kind))
-			put(rt.Index)
-		}
-		put(int32(len(c.Preds)))
-		for _, p := range c.Preds {
-			put(p)
-		}
-	}
-	put(int32(len(m.RowCluster)))
-	for _, rc := range m.RowCluster {
-		put(int32(len(rc)))
-		for _, ci := range rc {
-			put(ci)
-		}
-	}
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadClusterMeta deserializes metadata written by WriteTo.
-func ReadClusterMeta(r io.Reader) (*ClusterMeta, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(clusterMetaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("plan: reading cluster metadata: %w", err)
-	}
-	if string(magic) != clusterMetaMagic {
-		return nil, fmt.Errorf("plan: bad cluster metadata magic %q", magic)
-	}
-	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	mustLen := func(what string) (int, error) {
-		n, err := get()
-		if err != nil {
-			return 0, err
-		}
-		if n < 0 || n > 1<<28 {
-			return 0, fmt.Errorf("plan: cluster metadata %s length %d out of range", what, n)
-		}
-		return int(n), nil
-	}
-	ver, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if ver != clusterMetaVersion {
-		return nil, fmt.Errorf("plan: cluster metadata version %d, want %d", ver, clusterMetaVersion)
-	}
-	m := &ClusterMeta{}
-	if m.NumComponents, err = get(); err != nil {
-		return nil, err
-	}
-	nc, err := mustLen("cluster table")
-	if err != nil {
-		return nil, err
-	}
-	if nc > 0 {
-		m.Clusters = make([]Cluster, nc)
-	}
-	for i := range m.Clusters {
-		c := &m.Clusters[i]
-		if c.Layer, err = get(); err != nil {
-			return nil, err
-		}
-		if c.Component, err = get(); err != nil {
-			return nil, err
-		}
-		nr, err := mustLen("row list")
-		if err != nil {
-			return nil, err
-		}
-		if nr > 0 {
-			c.Rows = make([]int32, nr)
-		}
-		for j := range c.Rows {
-			if c.Rows[j], err = get(); err != nil {
-				return nil, err
-			}
-		}
-		nroots, err := mustLen("root list")
-		if err != nil {
-			return nil, err
-		}
-		if nroots > 0 {
-			c.Roots = make([]RootRef, nroots)
-		}
-		for j := range c.Roots {
-			k, err := get()
-			if err != nil {
-				return nil, err
-			}
-			c.Roots[j].Kind = RootKind(k)
-			if c.Roots[j].Index, err = get(); err != nil {
-				return nil, err
-			}
-		}
-		npred, err := mustLen("pred list")
-		if err != nil {
-			return nil, err
-		}
-		if npred > 0 {
-			c.Preds = make([]int32, npred)
-		}
-		for j := range c.Preds {
-			if c.Preds[j], err = get(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	nl, err := mustLen("layer table")
-	if err != nil {
-		return nil, err
-	}
-	if nl > 0 {
-		m.RowCluster = make([][]int32, nl)
-	}
-	for li := range m.RowCluster {
-		nr, err := mustLen("row-cluster table")
-		if err != nil {
-			return nil, err
-		}
-		if nr > 0 {
-			m.RowCluster[li] = make([]int32, nr)
-		}
-		for r := range m.RowCluster[li] {
-			if m.RowCluster[li][r], err = get(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, nil
-}
-
-// countWriter tracks bytes written and latches the first error so the
-// serializer body stays free of per-write error plumbing.
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
 }

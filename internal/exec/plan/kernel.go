@@ -1,10 +1,7 @@
 package plan
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 )
 
@@ -277,132 +274,4 @@ func (p *Plan) KernelMix() map[string]int {
 		}
 	}
 	return mix
-}
-
-// kernelMetaMagic and kernelMetaVersion pin the serialized kernel IR.
-const (
-	kernelMetaMagic   = "C2NNKIR1"
-	kernelMetaVersion = 1
-)
-
-// WriteKernelIR serializes every layer's row groups in a deterministic
-// binary format (little-endian, no maps), the companion of the cluster
-// metadata serialization: plans compiled elsewhere reload their kernel
-// assignment bit for bit.
-func (p *Plan) WriteKernelIR(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
-	put := func(v int32) { binary.Write(cw, binary.LittleEndian, v) }
-	put64 := func(v uint64) { binary.Write(cw, binary.LittleEndian, v) }
-	io.WriteString(cw, kernelMetaMagic)
-	put(kernelMetaVersion)
-	put(int32(len(p.Layers)))
-	for li := range p.Layers {
-		gs := p.Layers[li].Groups
-		put(int32(len(gs)))
-		for gi := range gs {
-			g := &gs[gi]
-			put(int32(g.Kind))
-			put(int32(len(g.Rows)))
-			for _, r := range g.Rows {
-				put(r)
-			}
-			put(int32(len(g.Tables)))
-			for _, t := range g.Tables {
-				put64(t)
-			}
-		}
-	}
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadKernelIR deserializes row groups written by WriteKernelIR,
-// returning one group list per layer.
-func ReadKernelIR(r io.Reader) ([][]RowGroup, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(kernelMetaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("plan: reading kernel IR: %w", err)
-	}
-	if string(magic) != kernelMetaMagic {
-		return nil, fmt.Errorf("plan: bad kernel IR magic %q", magic)
-	}
-	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	mustLen := func(what string) (int, error) {
-		n, err := get()
-		if err != nil {
-			return 0, err
-		}
-		if n < 0 || n > 1<<28 {
-			return 0, fmt.Errorf("plan: kernel IR %s length %d out of range", what, n)
-		}
-		return int(n), nil
-	}
-	ver, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if ver != kernelMetaVersion {
-		return nil, fmt.Errorf("plan: kernel IR version %d, want %d", ver, kernelMetaVersion)
-	}
-	nl, err := mustLen("layer table")
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]RowGroup, nl)
-	for li := range out {
-		ng, err := mustLen("group table")
-		if err != nil {
-			return nil, err
-		}
-		if ng > 0 {
-			out[li] = make([]RowGroup, ng)
-		}
-		for gi := range out[li] {
-			g := &out[li][gi]
-			kind, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if kind < 0 || int(kind) >= NumKernelKinds {
-				return nil, fmt.Errorf("plan: kernel IR kind %d out of range", kind)
-			}
-			g.Kind = KernelKind(kind)
-			nr, err := mustLen("row list")
-			if err != nil {
-				return nil, err
-			}
-			if nr > 0 {
-				g.Rows = make([]int32, nr)
-			}
-			for j := range g.Rows {
-				if g.Rows[j], err = get(); err != nil {
-					return nil, err
-				}
-			}
-			nt, err := mustLen("table list")
-			if err != nil {
-				return nil, err
-			}
-			if nt > 0 {
-				g.Tables = make([]uint64, nt)
-			}
-			for j := range g.Tables {
-				if err := binary.Read(br, binary.LittleEndian, &g.Tables[j]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
 }

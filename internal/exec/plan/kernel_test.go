@@ -1,24 +1,30 @@
 package plan
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
 
-// TestBuildGroupsDeterministic compiles the same model twice and
-// requires bit-identical kernel IR: group order, rows and tables.
-func TestBuildGroupsDeterministic(t *testing.T) {
-	_, p1 := compilePlan(t, 4, false)
-	_, p2 := compilePlan(t, 4, false)
+// requireSameGroups fails unless two plans carry bit-identical kernel
+// IR: layer count, group order, rows and tables.
+func requireSameGroups(t *testing.T, p1, p2 *Plan) {
+	t.Helper()
 	if len(p1.Layers) != len(p2.Layers) {
-		t.Fatal("layer count differs between compiles")
+		t.Fatalf("%d layers in one compile, %d in the other", len(p1.Layers), len(p2.Layers))
 	}
 	for li := range p1.Layers {
 		if !reflect.DeepEqual(p1.Layers[li].Groups, p2.Layers[li].Groups) {
 			t.Fatalf("layer %d groups differ between independent compiles", li)
 		}
 	}
+}
+
+// TestBuildGroupsDeterministic compiles the same model twice and
+// requires bit-identical kernel IR.
+func TestBuildGroupsDeterministic(t *testing.T) {
+	_, p1 := compilePlan(t, 4, false)
+	_, p2 := compilePlan(t, 4, false)
+	requireSameGroups(t, p1, p2)
 }
 
 // TestGroupsPartitionRows checks buildGroups covers every row exactly
@@ -135,51 +141,16 @@ func popcnt6(i int) int {
 	return n
 }
 
-// TestKernelIRRoundTrip serializes and reloads the kernel IR and
-// requires bit-identical groups.
+// TestKernelIRRoundTrip pins determinism where
+// TestBuildGroupsDeterministic does not look: the kernel IR is derived
+// state on the merged form and at other K too.
 func TestKernelIRRoundTrip(t *testing.T) {
-	_, p := compilePlan(t, 4, false)
-	var buf bytes.Buffer
-	n, err := p.WriteKernelIR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteKernelIR reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadKernelIR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(p.Layers) {
-		t.Fatalf("round trip returned %d layers, want %d", len(got), len(p.Layers))
-	}
-	for li := range p.Layers {
-		want := p.Layers[li].Groups
-		if len(want) == 0 && len(got[li]) == 0 {
-			continue
+	for _, merge := range []bool{true, false} {
+		for _, k := range []int{3, 5} {
+			_, p1 := compilePlan(t, k, merge)
+			_, p2 := compilePlan(t, k, merge)
+			requireSameGroups(t, p1, p2)
 		}
-		if !reflect.DeepEqual(got[li], want) {
-			t.Fatalf("layer %d groups changed across serialization", li)
-		}
-	}
-}
-
-// TestKernelIRRejectsCorruption checks the reader refuses bad magic and
-// out-of-range kinds.
-func TestKernelIRRejectsCorruption(t *testing.T) {
-	_, p := compilePlan(t, 4, false)
-	var buf bytes.Buffer
-	if _, err := p.WriteKernelIR(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte("XXXXXXXX"), buf.Bytes()[8:]...)
-	if _, err := ReadKernelIR(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadKernelIR(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated stream accepted")
 	}
 }
 

@@ -83,7 +83,8 @@ type Plan struct {
 	// attached by Options.Activity at compile time or later by
 	// internal/exec/analyze (nil until then). It is the metadata the
 	// activity-driven backend consumes to skip clean clusters; see
-	// cluster.go for the format and the serialization.
+	// cluster.go for the model. Like the rest of the plan it is derived
+	// from the model on every compile, never stored.
 	Clusters *ClusterMeta
 	// Activity is the activity-driven dispatch index (activity.go),
 	// compiled in by Options.Activity; nil otherwise. Backends lazily

@@ -2,15 +2,12 @@
 // network engine is measured against (the Verilator stand-in of the
 // paper's evaluation, §IV).
 //
-// Four engines share one compiled gate program:
+// Three engines share one compiled gate program:
 //
 //   - Scalar: levelized compiled-order interpretation, one stimulus per
 //     pass — the classic cycle-based simulator and the Table I baseline.
 //   - Batch64: the same order evaluated bitwise over 64 stimuli packed
 //     into machine words.
-//   - ParallelLevels: level-synchronised multi-threading (one barrier
-//     per level), the multi-core mode whose scaling plateaus with
-//     Amdahl's law exactly as §II-A describes for Verilator.
 //   - EventDriven: activity-based evaluation that skips gates whose
 //     inputs did not change (the ESSENT-style low-activity optimisation
 //     cited in the paper's introduction).
@@ -232,6 +229,3 @@ func (s *Sim) PeekBits(name string) ([]bool, error) {
 	}
 	return out, nil
 }
-
-// PeekNet reads a single net (for debugging and tests).
-func (s *Sim) PeekNet(id netlist.NetID) bool { return s.vals[id] }

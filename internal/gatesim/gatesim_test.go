@@ -112,28 +112,23 @@ func b2u(b bool) uint64 {
 func TestEnginesAgree(t *testing.T) {
 	p := compileTest(t)
 	scalar := NewSim(p)
-	par := NewParallelSim(p, 4)
-	defer par.Close()
 	ev := NewEventSim(p)
 
 	for i, st := range randomStimuli(300, 7) {
-		for _, poke := range []func(string, uint64) error{scalar.Poke, par.Poke, ev.Poke} {
+		for _, poke := range []func(string, uint64) error{scalar.Poke, ev.Poke} {
 			poke("rst", b2u(st.rst))
 			poke("mode", uint64(st.mode))
 			poke("a", uint64(st.a))
 			poke("b", uint64(st.b))
 		}
 		scalar.Step()
-		par.Step()
 		ev.Step()
 		scalar.Eval()
-		par.Eval()
 		ev.Eval()
 		want, _ := scalar.Peek("acc")
-		gotP, _ := par.Peek("acc")
-		gotE, _ := ev.Peek("acc")
-		if gotP != want || gotE != want {
-			t.Fatalf("cycle %d: scalar=%d parallel=%d event=%d", i, want, gotP, gotE)
+		got, _ := ev.Peek("acc")
+		if got != want {
+			t.Fatalf("cycle %d: scalar=%d event=%d", i, want, got)
 		}
 	}
 	if ev.EvalCount == 0 {

@@ -159,12 +159,6 @@ func Register(r Rule) Rule {
 	return r
 }
 
-// ByID looks up a registered rule.
-func ByID(id string) (Rule, bool) {
-	r, ok := registry[id]
-	return r, ok
-}
-
 // Rules returns every registered rule sorted by stage order then ID.
 func Rules() []Rule {
 	out := make([]Rule, 0, len(registry))

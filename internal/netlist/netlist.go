@@ -11,10 +11,7 @@
 // rather than a rewrite.
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NetID identifies a single-bit signal (a "net") in the netlist. IDs are
 // dense, starting at 0. The zero and one constant nets are created by New
@@ -353,11 +350,4 @@ func (n *Netlist) DriverIndex() []int32 {
 		drv[n.Gates[i].Out] = int32(i)
 	}
 	return drv
-}
-
-// SortPorts orders input and output ports by name, giving the netlist a
-// canonical external interface.
-func (n *Netlist) SortPorts() {
-	sort.Slice(n.Inputs, func(i, j int) bool { return n.Inputs[i].Name < n.Inputs[j].Name })
-	sort.Slice(n.Outputs, func(i, j int) bool { return n.Outputs[i].Name < n.Outputs[j].Name })
 }

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestWriteDOT(t *testing.T) {
-	n := New("dot demo")
-	a := n.AddInput("a", 2)
-	x := n.AddGate(Xor, a[0], a[1])
-	q := n.NewNet()
-	n.AddFF(x, q, false)
-	o := n.AddGate(And, q, a[0])
-	n.AddOutput("y", []NetID{o})
-
-	var sb strings.Builder
-	if err := n.WriteDOT(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"digraph \"dot_demo\"",
-		"in_a", "out_y", "XOR", "AND", "DFF",
-		"g0 -> ff0", "in_a -> g0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in DOT output:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteVerilogSmoke(t *testing.T) {
 	// Structural round-trip behaviour is tested at the repository root;
 	// this covers the emitter shape within the package.

@@ -252,14 +252,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return 0
 }
 
-// Edges returns the bucket upper bounds.
-func (h *Histogram) Edges() []int64 {
-	if h == nil {
-		return nil
-	}
-	return append([]int64(nil), h.edges...)
-}
-
 // Counts returns the per-bucket counts (len(Edges())+1, the last being
 // the overflow bucket). Use Snapshot when Counts, Count and Sum must
 // agree with each other.

@@ -59,9 +59,6 @@ func NewSampler(tr *Trace, interval time.Duration, capacity int) *Sampler {
 	return &Sampler{tr: tr, interval: interval, ring: make([]Sample, capacity)}
 }
 
-// Interval reports the configured sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start launches the sampling goroutine. Idempotent while running;
 // Stop it before restarting.
 func (s *Sampler) Start() {

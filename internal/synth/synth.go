@@ -318,16 +318,6 @@ func (s *signal) elemWidth() int {
 	return len(s.bits)
 }
 
-// elemBits returns the bit slice of array element with source index idx.
-func (s *signal) elemBits(idx int) ([]netlist.NetID, bool) {
-	e := idx - s.alo
-	if e < 0 || e >= s.elems {
-		return nil, false
-	}
-	w := s.elemWidth()
-	return s.bits[e*w : (e+1)*w], true
-}
-
 // offsetOf maps a source index to an offset into bits (LSB-first
 // storage). Descending ranges [7:0] map index i to i-lsb; ascending
 // ranges [0:7] map index i to msb-i counted from the right.

@@ -1,7 +1,7 @@
 // Package tensor is the minimal linear-algebra substrate standing in for
 // PyTorch (paper §III-E/F): float32 CSR sparse matrices, dense matrices
-// for the ablation, and batched sparse×dense products (SpMM) with
-// optional row-partitioned multi-goroutine execution.
+// for the ablation, and batched sparse×dense products (SpMM). Row
+// partitioning across workers lives in internal/exec/backend (Pool).
 //
 // Activation matrices use neuron-major layout: a matrix of N neurons
 // over a batch of B stimuli is a flat []float32 of length N*B where
@@ -10,11 +10,7 @@
 // cuSPARSE favours on the GPU.
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Triple is one explicit matrix entry used during construction.
 type Triple struct {
@@ -88,11 +84,7 @@ func (m *CSR) MulVec(x, y []float32) {
 // MulBatch computes Y = M·X over a batch: X is Cols×batch, Y is
 // Rows×batch, both neuron-major.
 func (m *CSR) MulBatch(x []float32, batch int, y []float32) {
-	m.mulBatchRange(x, batch, y, 0, m.Rows)
-}
-
-func (m *CSR) mulBatchRange(x []float32, batch int, y []float32, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	for r := 0; r < m.Rows; r++ {
 		yr := y[r*batch : (r+1)*batch]
 		for i := range yr {
 			yr[i] = 0
@@ -105,37 +97,6 @@ func (m *CSR) mulBatchRange(x []float32, batch int, y []float32, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MulBatchParallel computes Y = M·X with rows partitioned across
-// workers (0 selects GOMAXPROCS). This is the structural parallelism of
-// the paper's GPU execution: every output neuron row is independent.
-func (m *CSR) MulBatchParallel(x []float32, batch int, y []float32, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || m.Rows < 2*workers {
-		m.MulBatch(x, batch, y)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= m.Rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulBatchRange(x, batch, y, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MemoryBytes estimates the storage footprint of the CSR arrays (the
@@ -224,54 +185,4 @@ func (m *CSR) ToInt32() *Int32CSR {
 		out.Val[i] = int32(v)
 	}
 	return out
-}
-
-// MulBatch computes Y = M·X over int32 activations.
-func (m *Int32CSR) MulBatch(x []int32, batch int, y []int32) {
-	m.mulBatchRange(x, batch, y, 0, m.Rows)
-}
-
-func (m *Int32CSR) mulBatchRange(x []int32, batch int, y []int32, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		yr := y[r*batch : (r+1)*batch]
-		for i := range yr {
-			yr[i] = 0
-		}
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v := m.Val[p]
-			xc := x[int(m.Col[p])*batch : (int(m.Col[p])+1)*batch]
-			for i, xv := range xc {
-				yr[i] += v * xv
-			}
-		}
-	}
-}
-
-// MulBatchParallel is the row-partitioned parallel variant.
-func (m *Int32CSR) MulBatchParallel(x []int32, batch int, y []int32, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || m.Rows < 2*workers {
-		m.MulBatch(x, batch, y)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= m.Rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulBatchRange(x, batch, y, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

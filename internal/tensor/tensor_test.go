@@ -81,25 +81,6 @@ func TestMulBatchMatchesMulVec(t *testing.T) {
 	}
 }
 
-func TestMulBatchParallelMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := randomCSR(rng, 200, 150, 0.05)
-	batch := 8
-	x := make([]float32, m.Cols*batch)
-	for i := range x {
-		x[i] = float32(rng.Intn(2))
-	}
-	y1 := make([]float32, m.Rows*batch)
-	y2 := make([]float32, m.Rows*batch)
-	m.MulBatch(x, batch, y1)
-	m.MulBatchParallel(x, batch, y2, 4)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("parallel mismatch at %d", i)
-		}
-	}
-}
-
 func TestDenseMatchesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomCSR(rng, 40, 30, 0.3)
@@ -122,27 +103,28 @@ func TestDenseMatchesSparse(t *testing.T) {
 	}
 }
 
+// TestInt32Matches checks ToInt32, the fixture every packed-kernel test
+// builds on: integer products over its arrays equal the float SpMM.
 func TestInt32Matches(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := randomCSR(rng, 64, 48, 0.1)
 	mi := m.ToInt32()
 	batch := 9
 	xf := make([]float32, m.Cols*batch)
-	xi := make([]int32, m.Cols*batch)
 	for i := range xf {
-		v := int32(rng.Intn(2))
-		xf[i] = float32(v)
-		xi[i] = v
+		xf[i] = float32(rng.Intn(2))
 	}
 	yf := make([]float32, m.Rows*batch)
-	yi := make([]int32, m.Rows*batch)
-	yip := make([]int32, m.Rows*batch)
 	m.MulBatch(xf, batch, yf)
-	mi.MulBatch(xi, batch, yi)
-	mi.MulBatchParallel(xi, batch, yip, 3)
-	for i := range yf {
-		if int32(yf[i]) != yi[i] || yi[i] != yip[i] {
-			t.Fatalf("int mismatch at %d: %f %d %d", i, yf[i], yi[i], yip[i])
+	for r := 0; r < mi.Rows; r++ {
+		for b := 0; b < batch; b++ {
+			var acc int32
+			for p := mi.RowPtr[r]; p < mi.RowPtr[r+1]; p++ {
+				acc += mi.Val[p] * int32(xf[int(mi.Col[p])*batch+b])
+			}
+			if int32(yf[r*batch+b]) != acc {
+				t.Fatalf("int mismatch at (%d,%d): %f %d", r, b, yf[r*batch+b], acc)
+			}
 		}
 	}
 }

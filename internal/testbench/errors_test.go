@@ -6,6 +6,9 @@ package testbench
 // fallback rather than erroring out.
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -167,4 +170,46 @@ func TestExpectWidePortMismatchHighBits(t *testing.T) {
 	if !strings.Contains(err.Error(), "bit 64 = 1, want 0") {
 		t.Errorf("error = %q, want it to flag bit 64", err)
 	}
+}
+
+// FuzzParse pins the parser on hostile scripts: it never panics, every
+// error names a line of the input, and an accepted script's directives
+// carry ascending lines of the input.
+func FuzzParse(f *testing.F) {
+	files, err := filepath.Glob("../../testbenches/*.tb")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed testbenches: %v", err)
+	}
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, line := range []string{
+		"set a 1 0x2 0b11", "step", "step 3", "eval", "expect q 1 2", "expect_all q 0",
+		"reset", "setff 0 1", "expectff 2 0", "setbits k 0x0123456789abcdef01", "expectbits k 0b1_0",
+		"set a # no value", "step 0", "setff -1 1", "setbits k 0x", "poke q 1",
+	} {
+		f.Add(line + "\n")
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		lines := strings.Count(src, "\n") + 1
+		s, err := Parse(src)
+		if err != nil {
+			var n int
+			if _, serr := fmt.Sscanf(err.Error(), "line %d:", &n); serr != nil || n < 1 || n > lines {
+				t.Fatalf("error %q names no line of a %d-line script", err, lines)
+			}
+			return
+		}
+		prev := 0
+		for _, d := range s.Directives {
+			if d.Line <= prev || d.Line > lines {
+				t.Fatalf("directive line %d after %d in a %d-line script", d.Line, prev, lines)
+			}
+			prev = d.Line
+		}
+	})
 }
