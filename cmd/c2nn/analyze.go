@@ -29,22 +29,22 @@ type clusterLine struct {
 // analyzeReport is the machine-readable envelope of one "c2nn analyze"
 // target — the static analysis of its compiled execution plan.
 type analyzeReport struct {
-	Circuit      string               `json:"circuit"`
-	L            int                  `json:"l"`
-	Layers       int                  `json:"layers"`
-	TotalUnits   int                  `json:"total_units"`
-	ArenaUnits   int                  `json:"arena_units"`
-	Components   int32                `json:"components"`
-	Clusters     int                  `json:"clusters"`
-	Cost         *analyze.CostReport  `json:"cost"`
-	Degenerate   *analyze.DegenReport `json:"degenerate"`
-	ClusterTable []clusterLine        `json:"cluster_table"`
-	Diags        []diag.Diagnostic    `json:"diagnostics"`
+	Circuit      string              `json:"circuit"`
+	L            int                 `json:"l"`
+	Layers       int                 `json:"layers"`
+	TotalUnits   int                 `json:"total_units"`
+	ArenaUnits   int                 `json:"arena_units"`
+	Components   int32               `json:"components"`
+	Clusters     int                 `json:"clusters"`
+	Cost         *analyze.CostReport `json:"cost"`
+	KernelMix    map[string]int      `json:"kernel_mix"`
+	ClusterTable []clusterLine       `json:"cluster_table"`
+	Diags        []diag.Diagnostic   `json:"diagnostics"`
 }
 
 // runAnalyze implements the "c2nn analyze" subcommand: compile targets
 // to execution plans and run the static analyzer — cone clustering,
-// cost model, aliasing proof, degenerate rows — reporting per layer and
+// cost model, aliasing proof, constant rows — reporting per layer and
 // per cluster. Exit status is nonzero only on Error diagnostics.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("c2nn analyze", flag.ExitOnError)
@@ -59,7 +59,7 @@ func runAnalyze(args []string) error {
 		merge    = fs.Bool("merge", false, "apply the Fig. 5 layer merge")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn analyze [-all | -circuit name | file.v ...] [-L n] [-json] [-top n] [-clusters]")
+		fmt.Fprintln(fs.Output(), "usage: c2nn analyze [-all | -circuit name | file.v ...] [-L n] [-merge] [-json] [-top n] [-clusters]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -125,9 +125,10 @@ func analyzeTarget(src compile.Source, opts compile.Options) (*analyzeReport, er
 	r := &diag.Report{}
 	r.Add(res.Diags...)
 	r.Sort()
-	table := make([]clusterLine, 0, len(res.Meta.Clusters))
+	meta := p.Clusters
+	table := make([]clusterLine, 0, len(meta.Clusters))
 	for _, cc := range analyze.ClusterCosts(p) {
-		c := &res.Meta.Clusters[cc.Cluster]
+		c := &meta.Clusters[cc.Cluster]
 		table = append(table, clusterLine{
 			Cluster: cc.Cluster, Layer: cc.Layer, Component: cc.Component,
 			Rows: cc.Rows, NNZ: cc.NNZ, WordOps: cc.PackedWordOps,
@@ -140,10 +141,10 @@ func analyzeTarget(src compile.Source, opts compile.Options) (*analyzeReport, er
 		Layers:       len(p.Layers),
 		TotalUnits:   model.Net.TotalUnits,
 		ArenaUnits:   p.ArenaUnits,
-		Components:   res.Meta.NumComponents,
-		Clusters:     len(res.Meta.Clusters),
+		Components:   meta.NumComponents,
+		Clusters:     len(meta.Clusters),
 		Cost:         res.Cost,
-		Degenerate:   res.Degenerate,
+		KernelMix:    p.KernelMix(),
 		ClusterTable: table,
 		Diags:        r.Diags,
 	}, nil
@@ -182,16 +183,7 @@ func printAnalyzeText(rep *analyzeReport, topN int, showClusters bool) {
 		rep.Cost.Total.PlaneAdds, rep.Cost.Total.ComparePasses,
 		rep.Cost.Total.Intensity, rep.Cost.Total.CriticalPath)
 
-	classes := make([]string, 0, len(rep.Degenerate.ByClass))
-	for c := range rep.Degenerate.ByClass {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	parts := make([]string, 0, len(classes))
-	for _, c := range classes {
-		parts = append(parts, fmt.Sprintf("%s=%d", c, rep.Degenerate.ByClass[c]))
-	}
-	fmt.Printf("  rows: %d (%s)\n", rep.Degenerate.TotalRows, strings.Join(parts, " "))
+	fmt.Printf("  kernel_mix: %d rows (%s)\n", rep.Cost.Total.Rows, mixString(rep.KernelMix))
 
 	if topN > 0 {
 		hot := make([]analyze.LayerCost, len(rep.Cost.Layers))

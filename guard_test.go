@@ -82,6 +82,12 @@ var guards = []guard{
 	// must not come back.
 	{why: "retired plan codec / parallel kernel",
 		pattern: `C2NNKIR1|C2NNCLST|WriteKernelIR|ReadKernelIR|ReadClusterMeta|countWriter|ParallelSim|MulBatchParallel|WriteDOT|ClusterAt|elemBits|SortPorts|PeekNet`},
+
+	// A row's kernel kind is its only class and VerifyAliasing the one
+	// static arena proof: the second taxonomy, its census, the EX003
+	// extent check and the clustering forward must not come back.
+	{why: "retired row taxonomy / arena extent check / analyzer pass-through",
+		pattern: `RowClass|ClassifyRow|ClassifyPlan|DegenReport|ConstValue|lintOverlap|RuleEXOverlap|analyze\.Cones`},
 }
 
 func TestGuards(t *testing.T) {

@@ -70,13 +70,14 @@ func runAnalyze(e *Env, out *emitter) error {
 				clean = false
 			}
 		}
+		meta, mix := ar.Plan.Clusters, ar.Plan.KernelMix()
 		pt := out.at(c.Name, l)
 		pt.count("gates", int64(res.Netlist.GateCount()))
 		pt.count("layers", int64(len(eng.Plan().Layers)))
-		pt.count("rows", int64(ar.Degenerate.TotalRows))
-		pt.count("components", int64(ar.Meta.NumComponents))
-		pt.count("clusters", int64(len(ar.Meta.Clusters)))
-		pt.count("const_rows", int64(len(ar.Degenerate.Constant)))
+		pt.count("rows", int64(ar.Cost.Total.Rows))
+		pt.count("components", int64(meta.NumComponents))
+		pt.count("clusters", int64(len(meta.Clusters)))
+		pt.count("const_rows", int64(mix["const0"]+mix["const1"]))
 		pt.flag("alias_clean", clean)
 		pt.count("float_macs", ar.Cost.Total.FloatMACs)
 		pt.count("packed_word_ops", ar.Cost.Total.PackedWordOps)
@@ -118,7 +119,7 @@ func runAnalyze(e *Env, out *emitter) error {
 			pt.put("activity.dirty_cost_fraction", st.DirtyCostFraction, "ratio")
 		}
 		e.logf("[%s] L=%-2d %d clusters/%d comps, %d word-ops, alias clean=%v, r=%.3f",
-			c.Name, l, len(ar.Meta.Clusters), ar.Meta.NumComponents, ar.Cost.Total.PackedWordOps, clean, r)
+			c.Name, l, len(meta.Clusters), meta.NumComponents, ar.Cost.Total.PackedWordOps, clean, r)
 		return nil
 	})
 }

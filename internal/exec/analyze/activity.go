@@ -78,8 +78,8 @@ type ActivityStats struct {
 }
 
 // NewProbe builds an activity probe over the engine's plan. The plan
-// must carry cluster metadata (run Cones or Run first, or create the
-// engine with Options.Activity); a plan without any — hand-built plans
+// must carry cluster metadata (call Run first, or create the engine
+// with Options.Activity); a plan without any — hand-built plans
 // included — yields an error wrapping ErrNoClusters.
 func NewProbe(eng *simengine.Engine) (*Probe, error) {
 	p := eng.Plan()
@@ -90,7 +90,7 @@ func NewProbe(eng *simengine.Engine) (*Probe, error) {
 	m := eng.Model()
 
 	pr := &Probe{eng: eng, first: true, gen: eng.StateGeneration()}
-	// Root order mirrors Cones: ports first, then feedback.
+	// Root order mirrors plan.ComputeClusters: ports first, then feedback.
 	for _, port := range m.Inputs {
 		pr.rootUnits = append(pr.rootUnits, port.Units)
 		pr.rootNames = append(pr.rootNames, "port "+port.Name)

@@ -22,12 +22,13 @@ import (
 // must still be resident in its mapped slot (PA003) — the property the
 // engine's Peek and LatchFeedback depend on.
 //
-// This is deliberately a different algorithm from the plan lint's
-// EX003 block-overlap check: EX003 reasons over block extents and the
-// recomputed live ranges; this sweep reasons over individual slots and
-// the actual operand lists, so it also catches corruptions EX003
-// cannot see (a single rewritten column, a slot table edit, a
-// truncated liveness range that happens not to move block extents).
+// It is the one static proof of arena reuse. Reasoning over individual
+// slots and the actual operand lists, it catches whole-block overlaps
+// (a block placed on the const+PI block or on a live block, with or
+// without reuse) as well as corruptions no block-extent check can see:
+// a single rewritten column, a slot table edit, a truncated liveness
+// range that happens not to move block extents. The run-time
+// counterpart is plan.BuildActivityIndex's slot-injectivity refusal.
 func VerifyAliasing(p *plan.Plan) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	net := p.Model.Net

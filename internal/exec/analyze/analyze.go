@@ -4,10 +4,11 @@
 // (item 3). It computes three independent artifacts from a plan and the
 // model it lowers:
 //
-//   - cone-of-influence clustering (cones.go): each layer's rows are
-//     partitioned into FF/port-rooted clusters with forward
+//   - cone-of-influence clustering (plan.ComputeClusters): each layer's
+//     rows are partitioned into FF/port-rooted clusters with forward
 //     cleanliness-propagation edges, attached to the plan
-//     (plan.ClusterMeta) for the activity-driven backend to consume;
+//     (plan.ClusterMeta) for the activity-driven backend to consume and
+//     checked here (PA004/PA005);
 //
 //   - a static cost model (cost.go): per-layer and per-cluster op
 //     counts for all three backends — float MACs, integer ops,
@@ -19,12 +20,12 @@
 //     the layer sequence, proving that no kernel ever reads a slot
 //     after its unit was evicted and no live activation is clobbered —
 //     the class of plan-compiler bug the differential backend tests can
-//     only witness dynamically, proven here statically.
+//     only witness dynamically, proven here statically. It is the one
+//     static proof of arena reuse.
 //
-// Degenerate-row classification (degenerate.go) rides along: every
-// threshold or linear row is classified as constant / buffer / inverter
-// / AND / OR / NAND / NOR / XOR-form / general, the single source of
-// truth for the kernel-specialization pass.
+// The row census is the plan's kernel mix (plan.KindOfRow, tallied by
+// Plan.KernelMix); PA006 reads the constant rows off the const0/const1
+// row groups.
 //
 // Run ties them together and reports violations as PA001–PA008 lint
 // rules (lint.go) registered with the irlint registry; irlint.Check
@@ -41,12 +42,8 @@ import (
 type Result struct {
 	// Plan is the analyzed plan, with Plan.Clusters attached.
 	Plan *plan.Plan
-	// Meta is the clustering (same object as Plan.Clusters).
-	Meta *plan.ClusterMeta
 	// Cost is the static cost model report.
 	Cost *CostReport
-	// Degenerate is the per-row classification summary.
-	Degenerate *DegenReport
 	// Diags collects every rule violation found (empty on a clean
 	// plan, save for the PA008 summary info).
 	Diags []diag.Diagnostic
@@ -60,25 +57,23 @@ type Options struct {
 }
 
 // Run analyzes a compiled plan: clustering (attached to the plan),
-// cost model, aliasing proof and degenerate-row classification, with
-// every violation reported through the PA lint rules.
+// cost model and aliasing proof, with every violation reported through
+// the PA lint rules.
 func Run(p *plan.Plan, opts Options) (*Result, error) {
 	res := &Result{Plan: p}
 
 	sp := opts.Trace.Begin("analyze.cones")
-	meta, err := Cones(p)
+	meta, err := plan.ComputeClusters(p)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	p.Clusters = meta
-	res.Meta = meta
 	sp.SetInt("components", int64(meta.NumComponents)).
 		SetInt("clusters", int64(len(meta.Clusters))).End()
 
 	csp := opts.Trace.Begin("analyze.cost")
 	res.Cost = Cost(p)
-	res.Degenerate = ClassifyPlan(p)
 	csp.SetInt("layers", int64(len(res.Cost.Layers))).
 		SetInt("packed_word_ops", res.Cost.Total.PackedWordOps).End()
 
@@ -87,7 +82,7 @@ func Run(p *plan.Plan, opts Options) (*Result, error) {
 	asp.SetInt("diags", int64(len(res.Diags))).End()
 
 	res.Diags = append(res.Diags, lintClusters(p, meta)...)
-	res.Diags = append(res.Diags, lintDegenerate(p, res.Degenerate)...)
+	res.Diags = append(res.Diags, lintConstRows(p)...)
 	res.Diags = append(res.Diags, summaryInfo(p, res)...)
 	return res, nil
 }

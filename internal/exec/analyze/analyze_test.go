@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"c2nn/internal/exec/plan"
@@ -91,12 +93,12 @@ func TestRunClean(t *testing.T) {
 			if infos == 0 {
 				t.Fatalf("merge=%v K=%d: missing PA008 summary", merge, k)
 			}
-			if p.Clusters == nil || p.Clusters != res.Meta {
+			if res.Plan != p || p.Clusters == nil {
 				t.Fatalf("merge=%v K=%d: clustering not attached to the plan", merge, k)
 			}
-			if len(res.Meta.RowCluster) != len(p.Layers) {
+			if len(p.Clusters.RowCluster) != len(p.Layers) {
 				t.Fatalf("merge=%v K=%d: row-cluster table covers %d of %d layers",
-					merge, k, len(res.Meta.RowCluster), len(p.Layers))
+					merge, k, len(p.Clusters.RowCluster), len(p.Layers))
 			}
 			if got := len(res.Cost.Layers); got != len(p.Layers) {
 				t.Fatalf("merge=%v K=%d: cost model priced %d of %d layers", merge, k, got, len(p.Layers))
@@ -107,16 +109,20 @@ func TestRunClean(t *testing.T) {
 
 // TestAliasingCatchesCorruption hand-breaks a freshly compiled plan one
 // way per case — slot double-assignment, premature arena reuse,
-// liveness truncation — and requires the matching PA diagnostic.
+// liveness truncation, blocks placed on the const+PI block or on a live
+// block — and requires the matching PA diagnostic, on both network
+// forms. VerifyAliasing is the one static proof of arena reuse, so this
+// table also carries the block-overlap corruptions.
 func TestAliasingCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
 		rule   string
+		opts   plan.Options
 		mutate func(p *plan.Plan) bool
 	}{
 		// Two PI-block units assigned one slot: both live for the whole
 		// pass, so sharing is a double assignment.
-		{"pi-slot-double-assign", "PA001", func(p *plan.Plan) bool {
+		{"pi-slot-double-assign", "PA001", plan.Options{}, func(p *plan.Plan) bool {
 			if 1+p.Model.Net.NumPIs < 3 {
 				return false
 			}
@@ -125,7 +131,7 @@ func TestAliasingCatchesCorruption(t *testing.T) {
 		}},
 		// A rewritten operand column: the kernel reads the layer's own
 		// output slot instead of the producing unit's slot.
-		{"stale-operand-read", "PA001", func(p *plan.Plan) bool {
+		{"stale-operand-read", "PA001", plan.Options{}, func(p *plan.Plan) bool {
 			li := len(p.Layers) - 1
 			l := &p.Layers[li]
 			if len(l.WInt.Col) == 0 {
@@ -144,39 +150,60 @@ func TestAliasingCatchesCorruption(t *testing.T) {
 		}},
 		// Premature reuse: layer 1 reads layer 0's block, so placing
 		// layer 1's output on top of it clobbers live activations.
-		{"premature-reuse", "PA002", func(p *plan.Plan) bool {
-			if len(p.Layers) < 2 {
-				return false
-			}
-			p.Layers[1].OutSlot = p.Layers[0].OutSlot
-			return true
-		}},
+		{"premature-reuse", "PA002", plan.Options{}, overlapFirstBlocks},
 		// Liveness truncation: a feedback D unit's residency is cut
 		// short — its slot map entry points at the const slot, so after
 		// the pass the latch would read another unit's value.
-		{"liveness-truncation", "PA003", func(p *plan.Plan) bool {
+		{"liveness-truncation", "PA003", plan.Options{}, func(p *plan.Plan) bool {
 			if len(p.Model.Feedback) == 0 {
 				return false
 			}
 			p.Slot[p.Model.Feedback[0].FromUnit] = 0
 			return true
 		}},
+		// The last layer's output block placed on the const+PI block,
+		// which is live for the whole pass.
+		{"overlap-pi-block", "PA002", plan.Options{}, func(p *plan.Plan) bool {
+			p.Layers[len(p.Layers)-1].OutSlot = 0
+			return true
+		}},
+		// Layer 1's block placed on layer 0's, which layer 1 reads.
+		{"overlap-live-block", "PA002", plan.Options{}, overlapFirstBlocks},
+		// The same overlap in a reuse-free plan, where no block may share
+		// rows with another at all.
+		{"disable-reuse-block-overlap", "PA002", plan.Options{DisableArenaReuse: true}, overlapFirstBlocks},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, p := compilePlan(t, 4, false)
-			if !tc.mutate(p) {
-				t.Skip("plan shape does not admit this mutation")
+			for _, merge := range []bool{false, true} {
+				t.Run(fmt.Sprintf("merge=%v", merge), func(t *testing.T) {
+					p, err := plan.CompileOpts(buildModel(t, 4, merge), tc.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !tc.mutate(p) {
+						t.Skip("plan shape does not admit this mutation")
+					}
+					ds := VerifyAliasing(p)
+					for _, d := range ds {
+						if d.Rule == tc.rule {
+							return
+						}
+					}
+					t.Fatalf("mutation not caught by %s; got %d diagnostics: %v", tc.rule, len(ds), ds)
+				})
 			}
-			ds := VerifyAliasing(p)
-			for _, d := range ds {
-				if d.Rule == tc.rule {
-					return
-				}
-			}
-			t.Fatalf("mutation not caught by %s; got %d diagnostics: %v", tc.rule, len(ds), ds)
 		})
 	}
+}
+
+// overlapFirstBlocks places layer 1's output block on layer 0's.
+func overlapFirstBlocks(p *plan.Plan) bool {
+	if len(p.Layers) < 2 {
+		return false
+	}
+	p.Layers[1].OutSlot = p.Layers[0].OutSlot
+	return true
 }
 
 // TestAliasingCleanAcrossShapes proves every compile shape clean,
@@ -200,12 +227,12 @@ func TestAliasingCleanAcrossShapes(t *testing.T) {
 // state, so recompiling the same circuit must yield an equal one.
 func TestClusterRoundTrip(t *testing.T) {
 	_, p := compilePlan(t, 4, false)
-	meta, err := Cones(p)
+	meta, err := plan.ComputeClusters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, p2 := compilePlan(t, 4, false)
-	meta2, err := Cones(p2)
+	meta2, err := plan.ComputeClusters(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +247,7 @@ func TestClusterLintCatchesCorruption(t *testing.T) {
 	newMeta := func(t *testing.T) (*plan.Plan, *plan.ClusterMeta) {
 		t.Helper()
 		_, p := compilePlan(t, 4, false)
-		meta, err := Cones(p)
+		meta, err := plan.ComputeClusters(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,12 +318,12 @@ func TestClusterLintCatchesCorruption(t *testing.T) {
 // requires identical structure each run (map iteration must not leak).
 func TestConesDeterministic(t *testing.T) {
 	_, p := compilePlan(t, 3, false)
-	base, err := Cones(p)
+	base, err := plan.ComputeClusters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := Cones(p)
+		again, err := plan.ComputeClusters(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,75 +333,39 @@ func TestConesDeterministic(t *testing.T) {
 	}
 }
 
-// row builds a single-row threshold layer for classifier tests.
-func row(weights []int32, thresh int32, linear bool) *plan.Layer {
-	cols := make([]int32, len(weights))
-	fvals := make([]float32, len(weights))
-	for i := range weights {
-		cols[i] = int32(i + 1)
-		fvals[i] = float32(weights[i])
-	}
-	l := &plan.Layer{
-		W:    &tensor.CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: fvals},
-		WInt: &tensor.Int32CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: weights},
-	}
-	if !linear {
-		l.Thresh = []int32{thresh}
-	}
-	return l
-}
-
-func TestClassifyRow(t *testing.T) {
-	cases := []struct {
-		name  string
-		layer *plan.Layer
-		want  RowClass
-	}{
-		{"buffer", row([]int32{1}, 0, false), ClassBuffer},
-		{"inverter", row([]int32{-1}, -1, false), ClassInverter},
-		{"and3", row([]int32{1, 1, 1}, 2, false), ClassAnd},
-		{"or3", row([]int32{1, 1, 1}, 0, false), ClassOr},
-		{"nand3", row([]int32{-1, -1, -1}, -3, false), ClassNand},
-		{"nor3", row([]int32{-1, -1, -1}, -1, false), ClassNor},
-		{"const-never", row([]int32{1, 1}, 2, false), ClassConstant},
-		{"const-always", row([]int32{1, 1}, -1, false), ClassConstant},
-		{"empty", row(nil, 0, false), ClassConstant},
-		{"general", row([]int32{2, 1}, 1, false), ClassGeneral},
-		{"xor-form", row([]int32{1, 1, -2}, 0, true), ClassXorForm},
-		{"linear-buffer", row([]int32{1}, 0, true), ClassBuffer},
-		{"linear-general", row([]int32{1, 1, -1}, 0, true), ClassGeneral},
-	}
-	for _, tc := range cases {
-		if got := ClassifyRow(tc.layer, 0); got != tc.want {
-			t.Errorf("%s: classified %s, want %s", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestDegenerateLint forces a constant threshold row and requires
-// PA006.
+// TestDegenerateLint builds a model with a never-firing threshold row
+// and an empty linear row, and requires PA006 on exactly the former:
+// constant-0 linear rows are padding, not wasted compares.
 func TestDegenerateLint(t *testing.T) {
-	_, p := compilePlan(t, 4, false)
-	li := -1
-	for i := range p.Layers {
-		if !p.Layers[i].Linear() {
-			li = i
-			break
-		}
+	// Units: 0 const, 1..2 PIs, 3..4 threshold rows, 5..6 linear rows.
+	// Row 3 buffers PI 1; row 4 reads PI 2 against threshold 1, which
+	// its one +1 weight can never exceed. Row 5 copies row 3; row 6
+	// reads nothing.
+	w0 := &tensor.CSR{Rows: 2, Cols: 3, RowPtr: []int32{0, 1, 2}, Col: []int32{1, 2}, Val: []float32{1, 1}}
+	w1 := &tensor.CSR{Rows: 2, Cols: 5, RowPtr: []int32{0, 1, 1}, Col: []int32{3}, Val: []float32{1}}
+	net := &nn.Network{
+		NumPIs:     2,
+		SegStart:   []int32{3, 5},
+		TotalUnits: 7,
+		Layers: []nn.Layer{
+			{W: w0, Bias: []float32{0, 1}, Threshold: true},
+			{W: w1},
+		},
 	}
-	if li < 0 {
-		t.Skip("no threshold layer")
+	model := &nn.Model{
+		Net:     net,
+		Inputs:  []nn.PortMap{{Name: "a", Units: []int32{1}}, {Name: "b", Units: []int32{2}}},
+		Outputs: []nn.PortMap{{Name: "y", Units: []int32{4, 5, 6}}},
 	}
-	// A threshold at least the positive weight sum can never be crossed.
-	p.Layers[li].Thresh[0] = 1 << 20
-	rep := ClassifyPlan(p)
-	ds := lintDegenerate(p, rep)
-	for _, d := range ds {
-		if d.Rule == "PA006" {
-			return
-		}
+	p, err := plan.Compile(model)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("PA006 not raised: %v", ds)
+	ds := lintConstRows(p)
+	if len(ds) != 1 || ds[0].Rule != "PA006" || ds[0].Loc != "layer 0" ||
+		!strings.Contains(ds[0].Msg, "row 1 ") {
+		t.Fatalf("want one PA006 on layer 0 row 1, got %v", ds)
+	}
 }
 
 // TestDeadCluster builds a two-component model where one component's
@@ -398,7 +389,7 @@ func TestDeadCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := Cones(p)
+	meta, err := plan.ComputeClusters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,10 +410,7 @@ func TestDeadCluster(t *testing.T) {
 // TestClusterCostPartition: cluster costs partition layer costs.
 func TestClusterCostPartition(t *testing.T) {
 	_, p := compilePlan(t, 4, false)
-	if _, err := Cones(p); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := Cones(p)
+	meta, err := plan.ComputeClusters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +455,8 @@ func TestProbe(t *testing.T) {
 	if st.Steps != steps {
 		t.Fatalf("sampled %d steps, want %d", st.Steps, steps)
 	}
-	if st.Clusters != len(res.Meta.Clusters) {
-		t.Fatalf("probe sees %d clusters, metadata has %d", st.Clusters, len(res.Meta.Clusters))
+	if st.Clusters != len(res.Plan.Clusters.Clusters) {
+		t.Fatalf("probe sees %d clusters, metadata has %d", st.Clusters, len(res.Plan.Clusters.Clusters))
 	}
 	// First step dirties everything; with constant-zero inputs and a
 	// held FF state, later steps must be fully clean.

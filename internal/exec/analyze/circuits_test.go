@@ -83,7 +83,7 @@ func TestBenchmarkCircuitsAliasClean(t *testing.T) {
 				t.Errorf("unexpected %s: %s", d.Severity, d)
 			}
 		}
-		if len(res.Meta.Clusters) == 0 {
+		if len(p.Clusters.Clusters) == 0 {
 			t.Fatal("no clusters derived")
 		}
 		form := "canonical"
@@ -227,11 +227,11 @@ func TestClusterMetaStableAcrossCircuits(t *testing.T) {
 				t.Fatalf("independent recompiles derive different row groups in layer %d", li)
 			}
 		}
-		meta1, err := Cones(p1)
+		meta1, err := plan.ComputeClusters(p1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta2, err := Cones(p2)
+		meta2, err := plan.ComputeClusters(p2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -238,7 +238,8 @@ func lintClusters(p *plan.Plan, meta *plan.ClusterMeta) []diag.Diagnostic {
 }
 
 // rootIndex maps each PI-block unit to its sequential root, FF Q bits
-// taking precedence over aliased ports (mirror of the Cones numbering).
+// taking precedence over aliased ports (mirror of the numbering in
+// plan.ComputeClusters).
 func rootIndex(m *nn.Model) map[int32]plan.RootRef {
 	idx := make(map[int32]plan.RootRef)
 	piUnits := int32(1 + m.Net.NumPIs)
@@ -271,32 +272,43 @@ func hasPred(preds []int32, pc int32) bool {
 	return i < len(preds) && preds[i] == pc
 }
 
-// lintDegenerate reports every statically-constant threshold row
-// (PA006): its output is fixed no matter the stimulus, so the compiler
-// upstream left dead weight in the plan.
-func lintDegenerate(p *plan.Plan, rep *DegenReport) []diag.Diagnostic {
+// lintConstRows reports every statically-constant threshold row
+// (PA006): the rows lowering grouped as const0/const1 (EX007 proves the
+// groups match the weights). Their output is fixed no matter the
+// stimulus, so the compiler upstream left dead weight in the plan.
+func lintConstRows(p *plan.Plan) []diag.Diagnostic {
 	var ds []diag.Diagnostic
-	for _, dr := range rep.Constant {
-		if p.Layers[dr.Layer].Linear() {
+	for li := range p.Layers {
+		l := &p.Layers[li]
+		if l.Linear() {
 			continue // constant-0 linear rows are padding, not wasted compares
 		}
-		ds = append(ds, RuleConstRow.New(fmt.Sprintf("layer %d", dr.Layer),
-			"row %d output is statically constant", dr.Row))
+		for _, g := range l.Groups {
+			if g.Kind != plan.KConst0 && g.Kind != plan.KConst1 {
+				continue
+			}
+			for _, r := range g.Rows {
+				ds = append(ds, RuleConstRow.New(fmt.Sprintf("layer %d", li),
+					"row %d output is statically constant", r))
+			}
+		}
 	}
 	return ds
 }
 
 // summaryInfo emits the PA008 one-line run summary.
 func summaryInfo(p *plan.Plan, res *Result) []diag.Diagnostic {
-	var classes []string
-	for c := 0; c < NumRowClasses; c++ {
-		if n := res.Degenerate.Counts[c]; n > 0 {
-			classes = append(classes, fmt.Sprintf("%s=%d", RowClass(c), n))
+	mix := p.KernelMix()
+	var kinds []string
+	for k := plan.KernelKind(0); int(k) < plan.NumKernelKinds; k++ {
+		if n := mix[k.String()]; n > 0 {
+			kinds = append(kinds, fmt.Sprintf("%s=%d", k, n))
 		}
 	}
+	meta := p.Clusters
 	return []diag.Diagnostic{RuleSummary.New("plan",
 		"%d components, %d clusters over %d layers; %d rows (%s); arena %d/%d units; %d packed word ops/word",
-		res.Meta.NumComponents, len(res.Meta.Clusters), len(p.Layers),
-		res.Degenerate.TotalRows, strings.Join(classes, " "),
+		meta.NumComponents, len(meta.Clusters), len(p.Layers),
+		res.Cost.Total.Rows, strings.Join(kinds, " "),
 		p.ArenaUnits, p.Model.Net.TotalUnits, res.Cost.Total.PackedWordOps)}
 }

@@ -9,10 +9,10 @@ import (
 
 // ComputeClusters computes the cone-of-influence clustering of a plan.
 // It lives in this package (rather than internal/exec/analyze, which
-// re-exports it as Cones) so the execution stack — simengine compiling
-// an activity-enabled plan, backends skipping clean clusters — can
-// build the metadata without importing the analyzer, which itself
-// imports simengine.
+// runs it and checks the result as PA004/PA005) so the execution
+// stack — simengine compiling an activity-enabled plan, backends
+// skipping clean clusters — can build the metadata without importing
+// the analyzer, which itself imports simengine.
 //
 // Roots are the sequential signals whose cycle-to-cycle toggles drive
 // all combinational change: one root per input port (stimulus loads a

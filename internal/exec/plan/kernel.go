@@ -10,7 +10,8 @@ import (
 // sharing a kernel are batched into RowGroups so backends dispatch once
 // per (layer, kind) instead of re-deciding per row.
 //
-// Selection is driven by the shared row classifier (classify.go):
+// Selection reads the row's integer weights and fused threshold
+// (KindOfRow); the kind is the row's only classification:
 //
 //   - constant rows become KConst0/KConst1 stores (the output block may
 //     sit in a recycled arena slot, so constants are rewritten every
@@ -40,19 +41,26 @@ const (
 	KGeneral KernelKind = iota
 	// KLinear is the bit-sliced exact-linear path: Σ w·x > 0.
 	KLinear
-	// KConst0 / KConst1 store a constant into every lane.
+	// KConst0 / KConst1 store a constant into every lane: a row with no
+	// inputs, or a threshold no input combination can cross (KConst0)
+	// or every combination crosses (KConst1).
 	KConst0
 	KConst1
-	// KCopy copies the single input word; KNot complements it.
+	// KCopy copies the single input word (one +1 weight, threshold 0;
+	// or a linear row of one +1 weight); KNot complements it (one -1
+	// weight, threshold -1).
 	KCopy
 	KNot
 	// KAnd / KOr / KNand / KNor reduce the input words with word-wide
-	// boolean ops.
+	// boolean ops. Over k inputs: AND is all +1 with threshold k-1, OR
+	// all +1 with threshold 0, NAND all -1 with threshold -k, NOR all -1
+	// with threshold -1.
 	KAnd
 	KOr
 	KNand
 	KNor
-	// KXor2 XORs the two +1 inputs of an exact-linear XOR polynomial.
+	// KXor2 XORs the two +1 inputs of the exact-linear XOR polynomial
+	// a + b - 2ab (coefficient multiset {+1, +1, -2}).
 	KXor2
 	// KTable evaluates the row's 64-bit truth table over ≤6 gathered
 	// input words by Shannon cofactoring.
@@ -101,31 +109,66 @@ type RowGroup struct {
 // KindOfRow selects the specialized kernel for row r of a lowered
 // layer, returning the row's truth table when the selection is KTable
 // (zero otherwise). The selection is a pure function of the row's
-// weights and threshold, so lint (EX007) re-derives it to prove the
-// compiled groups agree with their source.
+// weights and threshold, read in one pass over the row, so lint
+// (EX007) re-derives it to prove the compiled groups agree with their
+// source.
 func KindOfRow(l *Layer, r int) (KernelKind, uint64) {
-	switch ClassifyRow(l, r) {
-	case ClassConstant:
-		if ConstValue(l, r) {
-			return KConst1, 0
+	lo, hi := l.WInt.RowPtr[r], l.WInt.RowPtr[r+1]
+	k := int64(hi - lo)
+	var pos, neg int64 // sums of positive weights / |negative weights|
+	var plusOnes, minusOnes, minusTwos int64
+	for _, v := range l.WInt.Val[lo:hi] {
+		if v >= 0 {
+			pos += int64(v)
+		} else {
+			neg -= int64(v)
 		}
-		return KConst0, 0
-	case ClassBuffer:
-		return KCopy, 0
-	case ClassInverter:
-		return KNot, 0
-	case ClassAnd:
-		return KAnd, 0
-	case ClassOr:
-		return KOr, 0
-	case ClassNand:
-		return KNand, 0
-	case ClassNor:
-		return KNor, 0
-	case ClassXorForm:
-		return KXor2, 0
+		switch v {
+		case 1:
+			plusOnes++
+		case -1:
+			minusOnes++
+		case -2:
+			minusTwos++
+		}
 	}
-	if k := int(l.WInt.RowPtr[r+1] - l.WInt.RowPtr[r]); k >= 1 && k <= MaxTableInputs {
+	allPlus, allMinus := plusOnes == k, minusOnes == k
+
+	if l.Linear() {
+		// A linear row's output is its exact integer sum; the network
+		// invariant keeps it in {0,1}. A row with no inputs is the
+		// constant 0.
+		switch {
+		case k == 0:
+			return KConst0, 0
+		case k == 1 && allPlus:
+			return KCopy, 0
+		case k == 3 && plusOnes == 2 && minusTwos == 1:
+			return KXor2, 0
+		}
+	} else {
+		// The row fires iff sum > th; sum ranges over [-neg, pos].
+		th := int64(l.Thresh[r])
+		switch {
+		case th < -neg:
+			return KConst1, 0 // always fires
+		case k == 0 || th >= pos:
+			return KConst0, 0 // can never fire
+		case k == 1 && allPlus && th == 0:
+			return KCopy, 0
+		case k == 1 && allMinus && th == -1:
+			return KNot, 0
+		case allPlus && th == k-1:
+			return KAnd, 0
+		case allPlus && th == 0:
+			return KOr, 0
+		case allMinus && th == -k:
+			return KNand, 0
+		case allMinus && th == -1:
+			return KNor, 0
+		}
+	}
+	if k := int(k); k >= 1 && k <= MaxTableInputs {
 		tab := RowTable(l, r)
 		adds, cmps := RowPlaneCost(l, r)
 		if TableOps(tab, k) <= adds+cmps {
@@ -264,8 +307,9 @@ func (l *Layer) RowKinds() (kinds []KernelKind, tables []uint64) {
 	return kinds, tables
 }
 
-// KernelMix tallies rows per kernel kind over the whole plan — the
-// census `c2nn analyze` and `bench backends` report.
+// KernelMix tallies rows per kernel kind over the whole plan — the one
+// row census: the plan span's rows_<kind> attributes, `c2nn analyze`'s
+// kernel_mix and PA008 summary, and `bench` all report it.
 func (p *Plan) KernelMix() map[string]int {
 	mix := make(map[string]int)
 	for li := range p.Layers {

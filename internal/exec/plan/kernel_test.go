@@ -3,6 +3,8 @@ package plan
 import (
 	"reflect"
 	"testing"
+
+	"c2nn/internal/tensor"
 )
 
 // requireSameGroups fails unless two plans carry bit-identical kernel
@@ -170,4 +172,52 @@ func TestKernelMixTotals(t *testing.T) {
 		t.Fatalf("kernel mix tallies %d rows, plan has %d", total, rows)
 	}
 	t.Logf("mix: %v", mix)
+}
+
+// row builds a single-row layer for kind-selection tests: a threshold
+// row unless linear is set.
+func row(weights []int32, thresh int32, linear bool) *Layer {
+	cols := make([]int32, len(weights))
+	fvals := make([]float32, len(weights))
+	for i := range weights {
+		cols[i] = int32(i + 1)
+		fvals[i] = float32(weights[i])
+	}
+	l := &Layer{
+		W:    &tensor.CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: fvals},
+		WInt: &tensor.Int32CSR{Rows: 1, Cols: len(weights) + 1, RowPtr: []int32{0, int32(len(weights))}, Col: cols, Val: weights},
+	}
+	if !linear {
+		l.Thresh = []int32{thresh}
+	}
+	return l
+}
+
+// TestKindOfRow pins the kernel selected for each row shape the
+// specialized kernels recognise, and the fallbacks for the rest.
+func TestKindOfRow(t *testing.T) {
+	cases := []struct {
+		name  string
+		layer *Layer
+		want  KernelKind
+	}{
+		{"buffer", row([]int32{1}, 0, false), KCopy},
+		{"inverter", row([]int32{-1}, -1, false), KNot},
+		{"and3", row([]int32{1, 1, 1}, 2, false), KAnd},
+		{"or3", row([]int32{1, 1, 1}, 0, false), KOr},
+		{"nand3", row([]int32{-1, -1, -1}, -3, false), KNand},
+		{"nor3", row([]int32{-1, -1, -1}, -1, false), KNor},
+		{"const-never", row([]int32{1, 1}, 2, false), KConst0},
+		{"const-always", row([]int32{1, 1}, -1, false), KConst1},
+		{"empty", row(nil, 0, false), KConst0},
+		{"general", row([]int32{2, 1}, 1, false), KTable},
+		{"xor-form", row([]int32{1, 1, -2}, 0, true), KXor2},
+		{"linear-buffer", row([]int32{1}, 0, true), KCopy},
+		{"linear-general", row([]int32{1, 1, -1}, 0, true), KLinear},
+	}
+	for _, tc := range cases {
+		if got, _ := KindOfRow(tc.layer, 0); got != tc.want {
+			t.Errorf("%s: selected %s, want %s", tc.name, got, tc.want)
+		}
+	}
 }

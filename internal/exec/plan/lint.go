@@ -24,12 +24,6 @@ var (
 	RuleEXKernel = diag.Register(diag.Rule{
 		ID: "EX002", Stage: diag.StagePlan, Severity: diag.Error,
 		Summary: "layer linearity disagrees with model"})
-	// RuleEXOverlap fires when two activation blocks share arena rows
-	// while both are live — an independent recomputation of the
-	// liveness analysis that justified the sharing.
-	RuleEXOverlap = diag.Register(diag.Rule{
-		ID: "EX003", Stage: diag.StagePlan, Severity: diag.Error,
-		Summary: "live activation blocks overlap"})
 	// RuleEXThresh fires when a fused integer threshold disagrees with
 	// the float bias it was folded from.
 	RuleEXThresh = diag.Register(diag.Rule{
@@ -154,7 +148,6 @@ func (p *Plan) Lint() []diag.Diagnostic {
 		}
 	}
 
-	ds = append(ds, p.lintOverlap()...)
 	return ds
 }
 
@@ -226,83 +219,6 @@ func lintGroups(loc string, pl *Layer) []diag.Diagnostic {
 			if g.Kind == KTable && g.Tables[ri] != tab {
 				ds = append(ds, RuleEXKernelSem.New(loc,
 					"row %d LUT table %#x, re-enumerated truth table %#x", r, g.Tables[ri], tab))
-			}
-		}
-	}
-	return ds
-}
-
-// lintOverlap independently recomputes segment liveness from the model
-// (the same analysis Compile runs, in unit space) and verifies that
-// whenever two blocks share arena rows, the earlier one is provably
-// dead before the later one is written.
-func (p *Plan) lintOverlap() []diag.Diagnostic {
-	var ds []diag.Diagnostic
-	net := p.Model.Net
-	n := len(p.Layers)
-	if n != len(net.Layers) || len(net.SegStart) != n {
-		return nil // shape mismatch already reported
-	}
-	piUnits := int32(1 + net.NumPIs)
-
-	segOf := func(unit int32) int {
-		if unit < piUnits {
-			return -1
-		}
-		lo, hi := 0, n
-		for lo+1 < hi {
-			mid := (lo + hi) / 2
-			if net.SegStart[mid] <= unit {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	lastUse := make([]int, n)
-	for s := range lastUse {
-		lastUse[s] = s
-	}
-	for li := range net.Layers {
-		for _, col := range net.Layers[li].W.Col {
-			if s := segOf(col); s >= 0 && li > lastUse[s] {
-				lastUse[s] = li
-			}
-		}
-	}
-	permanent := make([]bool, n)
-	pin := func(u int32) {
-		if s := segOf(u); s >= 0 {
-			permanent[s] = true
-		}
-	}
-	for _, pm := range p.Model.Outputs {
-		for _, u := range pm.Units {
-			pin(u)
-		}
-	}
-	for _, fb := range p.Model.Feedback {
-		pin(fb.FromUnit)
-		pin(fb.ToPI)
-	}
-
-	overlaps := func(a0, a1, b0, b1 int32) bool { return a0 < b1 && b0 < a1 }
-	for i := 0; i < n; i++ {
-		bi0, bi1 := p.Layers[i].OutSlot, p.Layers[i].OutSlot+int32(p.Layers[i].W.Rows)
-		if overlaps(bi0, bi1, 0, piUnits) {
-			ds = append(ds, RuleEXOverlap.New("layer "+strconv.Itoa(i),
-				"output block [%d,%d) overlaps the const+PI block [0,%d)", bi0, bi1, piUnits))
-		}
-		for j := i + 1; j < n; j++ {
-			bj0, bj1 := p.Layers[j].OutSlot, p.Layers[j].OutSlot+int32(p.Layers[j].W.Rows)
-			if !overlaps(bi0, bi1, bj0, bj1) {
-				continue
-			}
-			if permanent[i] || lastUse[i] >= j {
-				ds = append(ds, RuleEXOverlap.New("layer "+strconv.Itoa(j),
-					"output block [%d,%d) overlaps layer %d's block [%d,%d) while it is live",
-					bj0, bj1, i, bi0, bi1))
 			}
 		}
 	}

@@ -222,15 +222,10 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 	}
 
 	p := &Plan{Model: m, ArenaUnits: int(a.top), Slot: slot}
-	var kinds [NumKernelKinds]int64
 	for li := range net.Layers {
-		l := &net.Layers[li]
-		pl, err := lowerLayer(l, li, slot, int(a.top), outSlot[li])
+		pl, err := lowerLayer(&net.Layers[li], li, slot, int(a.top), outSlot[li])
 		if err != nil {
 			return nil, err
-		}
-		for gi := range pl.Groups {
-			kinds[pl.Groups[gi].Kind] += int64(len(pl.Groups[gi].Rows))
 		}
 		p.Layers = append(p.Layers, pl)
 	}
@@ -249,9 +244,10 @@ func CompileOpts(m *nn.Model, opts Options) (*Plan, error) {
 			SetInt("arena_units", int64(p.ArenaUnits)).
 			SetInt("slots_reused", a.reused).
 			SetInt("slots_fresh", a.fresh)
-		for k, n := range kinds {
-			if n > 0 {
-				sp.SetInt("rows_"+KernelKind(k).String(), n)
+		mix := p.KernelMix()
+		for k := KernelKind(0); int(k) < NumKernelKinds; k++ {
+			if n := mix[k.String()]; n > 0 {
+				sp.SetInt("rows_"+k.String(), int64(n))
 			}
 		}
 	}

@@ -210,19 +210,6 @@ func TestLintCatchesCorruption(t *testing.T) {
 			}
 			return false
 		}},
-		{"overlap-pi-block", "EX003", func(p *Plan) bool {
-			p.Layers[len(p.Layers)-1].OutSlot = 0
-			return true
-		}},
-		{"overlap-live-block", "EX003", func(p *Plan) bool {
-			if len(p.Layers) < 2 {
-				return false
-			}
-			// Layer 1 reads layer 0's block, so writing layer 1's output
-			// on top of it clobbers a live input.
-			p.Layers[1].OutSlot = p.Layers[0].OutSlot
-			return true
-		}},
 		{"threshold-drift", "EX004", func(p *Plan) bool {
 			li := firstThresh(p)
 			if li < 0 {
@@ -428,15 +415,6 @@ func TestArenaEdgeCases(t *testing.T) {
 						p.ArenaUnits, m.Net.TotalUnits)
 				}
 			}},
-		{name: "disable-reuse-block-overlap", model: crc,
-			opts: Options{DisableArenaReuse: true},
-			mutate: func(p *Plan) bool {
-				if len(p.Layers) < 2 {
-					return false
-				}
-				p.Layers[1].OutSlot = p.Layers[0].OutSlot
-				return true
-			}, rule: "EX003"},
 		{name: "zero-activation-arena-truncated", model: dead,
 			mutate: func(p *Plan) bool {
 				p.ArenaUnits--

@@ -57,25 +57,22 @@ func polys(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
 }
 
 // planLint lowers the model to an execution plan and lints it,
-// verifying kernel selection, threshold fusion and the activation-arena
-// liveness analysis against the model.
-func planLint(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
+// verifying kernel selection, threshold fusion and the arena slot map
+// against the model. The plan is kept for the analyze stage.
+func planLint(c *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
 	p, err := plan.Compile(r.Model)
 	if err != nil {
 		return nil, fmt.Errorf("irlint: lowering to plan: %w", err)
 	}
+	c.plan = p
 	return p.Lint(), nil
 }
 
-// analyzeLint lowers the model and runs the static plan analysis (rules
-// PA001–PA008): cone-of-influence clustering, the static cost model,
-// the arena aliasing/liveness proof and degenerate-row classification.
-func analyzeLint(_ *Checker, r *compile.Result) ([]diag.Diagnostic, error) {
-	p, err := plan.Compile(r.Model)
-	if err != nil {
-		return nil, fmt.Errorf("irlint: lowering to plan: %w", err)
-	}
-	res, err := analyze.Run(p, analyze.Options{})
+// analyzeLint runs the static plan analysis (rules PA001–PA008) on the
+// plan planLint lowered: cone-of-influence clustering, the static cost
+// model, the arena aliasing/liveness proof and the constant-row audit.
+func analyzeLint(c *Checker, _ *compile.Result) ([]diag.Diagnostic, error) {
+	res, err := analyze.Run(c.plan, analyze.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("irlint: plan analysis: %w", err)
 	}
@@ -175,6 +172,7 @@ type Checker struct {
 
 	aig     *aig.AIG
 	aigOuts []aig.Lit
+	plan    *plan.Plan // lowered by the plan stage, analyzed by the next
 }
 
 // After is the compile.Run observer: it runs the checks of the given
