@@ -88,6 +88,12 @@ var guards = []guard{
 	// extent check and the clustering forward must not come back.
 	{why: "retired row taxonomy / arena extent check / analyzer pass-through",
 		pattern: `RowClass|ClassifyRow|ClassifyPlan|DegenReport|ConstValue|lintOverlap|RuleEXOverlap|analyze\.Cones`},
+
+	// The kernel table holds only what plans select: no compiled plan
+	// ever chose the ≤6-input truth-table kernel, so it and the per-row
+	// table it threaded through plan, backend and cost model are gone.
+	{why: "retired truth-table kernel",
+		pattern: `KTable|EvalTable64|PackedTableRows|RowTable|TableOps|MaxTableInputs`},
 }
 
 func TestGuards(t *testing.T) {

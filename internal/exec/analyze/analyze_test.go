@@ -182,7 +182,7 @@ func TestAliasingCatchesCorruption(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !tc.mutate(p) {
-						t.Skip("plan shape does not admit this mutation")
+						t.Fatalf("plan shape does not admit the %s mutation", tc.name)
 					}
 					ds := VerifyAliasing(p)
 					for _, d := range ds {

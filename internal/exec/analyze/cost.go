@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"math/bits"
+
 	"c2nn/internal/exec/plan"
 )
 
@@ -16,8 +18,7 @@ import (
 //     set bits, and one borrow pass per accumulator-height bit for the
 //     compare. Rows lowered to specialized kernels (the row-group IR)
 //     are priced by their fused form instead: constants and copies are
-//     one word op, boolean reductions one op per input word, LUT rows
-//     the Shannon evaluation of their table plus the input gathers.
+//     one word op, boolean reductions one op per input word.
 //
 // The per-word op count is exact in the worst case (every input word
 // nonzero; the kernel's zero-word skip makes the real count
@@ -85,7 +86,7 @@ type CostReport struct {
 // rowPackedCost prices one row under its selected kernel — the single
 // per-row pricing shared by Cost and ClusterCosts so cluster costs
 // partition layer costs exactly.
-func rowPackedCost(l *plan.Layer, r int, kind plan.KernelKind, tab uint64) (planeAdds, comparePasses, fusedOps int64) {
+func rowPackedCost(l *plan.Layer, r int, kind plan.KernelKind) (planeAdds, comparePasses, fusedOps int64) {
 	k := int64(l.WInt.RowPtr[r+1] - l.WInt.RowPtr[r])
 	switch kind {
 	case plan.KConst0, plan.KConst1:
@@ -98,11 +99,42 @@ func rowPackedCost(l *plan.Layer, r int, kind plan.KernelKind, tab uint64) (plan
 		return 0, 0, k + 1
 	case plan.KXor2:
 		return 0, 0, 2
-	case plan.KTable:
-		return 0, 0, plan.TableOps(tab, int(k)) + k
 	}
-	planeAdds, comparePasses = plan.RowPlaneCost(l, r)
+	planeAdds, comparePasses = rowPlaneCost(l, r)
 	return planeAdds, comparePasses, 0
+}
+
+// rowPlaneCost prices row r on the generic bit-sliced path: plane
+// additions (one per set bit of each |weight| and of the folded
+// threshold) and the borrow-pass height of the compare.
+func rowPlaneCost(l *plan.Layer, r int) (planeAdds, comparePasses int64) {
+	var rowPos, rowNeg int64
+	for q := l.WInt.RowPtr[r]; q < l.WInt.RowPtr[r+1]; q++ {
+		v := l.WInt.Val[q]
+		if v >= 0 {
+			planeAdds += int64(bits.OnesCount32(uint32(v)))
+			rowPos += int64(v)
+		} else {
+			planeAdds += int64(bits.OnesCount32(uint32(-v)))
+			rowNeg -= int64(v)
+		}
+	}
+	if !l.Linear() {
+		th := int64(l.Thresh[r])
+		if th >= 0 {
+			planeAdds += int64(bits.OnesCount64(uint64(th)))
+			rowNeg += th
+		} else {
+			planeAdds += int64(bits.OnesCount64(uint64(-th)))
+			rowPos -= th
+		}
+		h := bits.Len64(uint64(rowPos))
+		if n := bits.Len64(uint64(rowNeg)); n > h {
+			h = n
+		}
+		comparePasses += int64(h)
+	}
+	return planeAdds, comparePasses
 }
 
 // Cost prices every layer of the plan. When the plan carries cluster
@@ -129,10 +161,10 @@ func Cost(p *plan.Plan) *CostReport {
 			}
 			lc.Clusters = len(seenC)
 		}
-		kinds, tables := l.RowKinds()
+		kinds := l.RowKinds()
 		for r := 0; r < l.WInt.Rows; r++ {
 			lc.FloatMACs += int64(l.WInt.RowPtr[r+1] - l.WInt.RowPtr[r])
-			pa, cp, fo := rowPackedCost(l, r, kinds[r], tables[r])
+			pa, cp, fo := rowPackedCost(l, r, kinds[r])
 			lc.PlaneAdds += pa
 			lc.ComparePasses += cp
 			lc.FusedOps += fo
@@ -182,7 +214,6 @@ func ClusterCosts(p *plan.Plan) []ClusterCost {
 		return nil
 	}
 	kindCache := make(map[int32][]plan.KernelKind)
-	tableCache := make(map[int32][]uint64)
 	out := make([]ClusterCost, len(p.Clusters.Clusters))
 	for ci := range p.Clusters.Clusters {
 		c := &p.Clusters.Clusters[ci]
@@ -194,17 +225,16 @@ func ClusterCosts(p *plan.Plan) []ClusterCost {
 		l := &p.Layers[c.Layer]
 		kinds, ok := kindCache[c.Layer]
 		if !ok {
-			kinds, tableCache[c.Layer] = l.RowKinds()
+			kinds = l.RowKinds()
 			kindCache[c.Layer] = kinds
 		}
-		tables := tableCache[c.Layer]
 		for _, r := range c.Rows {
 			if int(r) >= l.WInt.Rows {
 				continue
 			}
 			cc.Rows++
 			cc.NNZ += int(l.WInt.RowPtr[r+1] - l.WInt.RowPtr[r])
-			pa, cp, fo := rowPackedCost(l, int(r), kinds[r], tables[r])
+			pa, cp, fo := rowPackedCost(l, int(r), kinds[r])
 			cc.PackedWordOps += pa + cp + fo
 		}
 		out[ci] = cc

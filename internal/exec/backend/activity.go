@@ -34,10 +34,9 @@ type activity struct {
 
 	rootDirty []bool
 	dirty     []bool
-	// rows/tabs are per-(layer,group) gather scratch, reused across
-	// passes so partial dispatches allocate only on first use.
+	// rows is per-(layer,group) gather scratch, reused across passes so
+	// partial dispatches allocate only on first use.
 	rows [][][]int32
-	tabs [][][]uint64
 
 	// Lifetime tallies are atomic so samplers and StatsSnapshot can
 	// read them from another goroutine while a pass is in flight.
@@ -72,10 +71,8 @@ func (a *activity) enable(p *plan.Plan, tr *obs.Trace) error {
 	a.rootTog = make([]atomic.Int64, idx.NumRoots)
 	a.dirty = make([]bool, len(a.meta.Clusters))
 	a.rows = make([][][]int32, len(p.Layers))
-	a.tabs = make([][][]uint64, len(p.Layers))
 	for li := range p.Layers {
 		a.rows[li] = make([][]int32, len(p.Layers[li].Groups))
-		a.tabs[li] = make([][]uint64, len(p.Layers[li].Groups))
 	}
 	if tr != nil {
 		a.cDirty = tr.Counter("exec.cluster.dirty")
@@ -147,13 +144,13 @@ func (a *activity) begin(sub substrate) {
 // end closes the skip pass; RunLayer dispatches in full again.
 func (a *activity) end() { a.pass = false }
 
-// rowsFor returns the rows (and parallel LUT tables) of one group to
-// dispatch: the full group outside a skip pass, the dirty subset
-// during one. Empty rows mean the whole group is clean — skip the
-// dispatch entirely, the output slots still hold last pass's values.
-func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) ([]int32, []uint64) {
+// rowsFor returns the rows of one group to dispatch: the full group
+// outside a skip pass, the dirty subset during one. Empty rows mean the
+// whole group is clean — skip the dispatch entirely, the output slots
+// still hold last pass's values.
+func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) []int32 {
 	if !a.pass {
-		return g.Rows, g.Tables
+		return g.Rows
 	}
 	segs := a.idx.Segments[li][gi]
 	nd := 0
@@ -164,26 +161,16 @@ func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) ([]int32, []uint64) {
 	}
 	switch nd {
 	case len(segs):
-		return g.Rows, g.Tables
+		return g.Rows
 	case 0:
-		return nil, nil
+		return nil
 	}
 	rows := a.rows[li][gi][:0]
-	tabs := a.tabs[li][gi][:0]
 	for si := range segs {
-		s := &segs[si]
-		if !a.dirty[s.Cluster] {
-			continue
-		}
-		rows = append(rows, s.Rows...)
-		if g.Tables != nil {
-			tabs = append(tabs, s.Tables...)
+		if a.dirty[segs[si].Cluster] {
+			rows = append(rows, segs[si].Rows...)
 		}
 	}
 	a.rows[li][gi] = rows
-	a.tabs[li][gi] = tabs
-	if g.Tables == nil {
-		return rows, nil
-	}
-	return rows, tabs
+	return rows
 }

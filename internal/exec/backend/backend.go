@@ -69,9 +69,8 @@ func ParseKind(name string) (Kind, error) {
 // lane accessors. Activations are binary (a compiled network
 // invariant), so the accessors speak bool regardless of element type.
 type substrate interface {
-	// run evaluates rows of layer l with the kernel of the given kind;
-	// tabs is parallel to rows for KTable groups, nil otherwise.
-	run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs []uint64)
+	// run evaluates rows of layer l with the kernel of the given kind.
+	run(l *plan.Layer, kind plan.KernelKind, rows []int32)
 	// snapshot allocates the previous-pass copy of that many root rows.
 	snapshot(units int)
 	// rootToggled diffs the arena rows in slots against snapshot rows
@@ -112,7 +111,6 @@ type Backend struct {
 		l    *plan.Layer
 		kind plan.KernelKind
 		rows []int32
-		tabs []uint64
 	}
 	runFn func(lo, hi int)
 }
@@ -142,11 +140,7 @@ func New(k Kind, p *plan.Plan, batch int, pool *Pool, tr *obs.Trace) (*Backend, 
 	b := &Backend{substrate: sub, kind: k, batch: batch, plan: p, pool: pool, in: newInstr(tr, p)}
 	b.runFn = func(lo, hi int) {
 		c := &b.cur
-		tabs := c.tabs
-		if tabs != nil {
-			tabs = tabs[lo:hi]
-		}
-		b.run(c.l, c.kind, c.rows[lo:hi], tabs)
+		b.run(c.l, c.kind, c.rows[lo:hi])
 	}
 	return b, nil
 }
@@ -178,12 +172,12 @@ func (b *Backend) RunLayer(li int) {
 	b.cur.l = l
 	for gi := range l.Groups {
 		g := &l.Groups[gi]
-		rows, tabs := b.act.rowsFor(li, gi, g)
+		rows := b.act.rowsFor(li, gi, g)
 		if len(rows) == 0 {
 			continue // every row's cluster is clean this pass
 		}
 		b.in.countRows(g.Kind, len(rows))
-		b.cur.kind, b.cur.rows, b.cur.tabs = g.Kind, rows, tabs
+		b.cur.kind, b.cur.rows = g.Kind, rows
 		b.pool.Run(len(rows), b.runFn)
 	}
 	sp.End()

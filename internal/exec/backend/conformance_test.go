@@ -56,7 +56,7 @@ func allKindsModel(t *testing.T) *nn.Model {
 		u.or3 = l0.add(0, term{a, 1}, term{b, 1}, term{c, 1})      // or
 		l0.add(-3, term{a, -1}, term{b, -1}, term{c, -1})          // nand
 		u.nor3 = l0.add(-1, term{a, -1}, term{b, -1}, term{c, -1}) // nor
-		l0.add(1, term{a, 2}, term{b, 1})                          // 2a+b > 1: a small LUT
+		l0.add(1, term{a, 2}, term{b, 1})                          // 2a+b > 1: general
 		us[rep] = u
 	}
 	// The eight minterms of the first three inputs: pairwise disjoint,
@@ -78,7 +78,7 @@ func allKindsModel(t *testing.T) *nn.Model {
 	l1 := &layerBuilder{first: l0.first + int32(len(l0.bias))}
 	var wide [reps]int32
 	for rep, u := range us {
-		// Seven inputs is past the 64-bit table limit: general rows.
+		// Seven-input threshold rows no boolean reduction matches: general.
 		wide[rep] = l1.add(3, term{u.a, 1}, term{u.b, 1}, term{u.c, 1}, term{u.d, 1},
 			term{u.buf, 1}, term{u.and3, 1}, term{u.or3, 1})
 		l1.add(1, term{u.a, 2}, term{u.b, -1}, term{u.c, 1}, term{u.d, 3},

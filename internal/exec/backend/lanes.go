@@ -35,10 +35,10 @@ func (s *lanes[T]) row(slot int32) []T {
 // (threshold layers only) — and every specialized kind is equal to it
 // under the binary-activation invariant, which the differential tests
 // enforce across substrates.
-func (s *lanes[T]) run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs []uint64) {
+func (s *lanes[T]) run(l *plan.Layer, kind plan.KernelKind, rows []int32) {
 	w := l.WInt
 	val, thresh := s.weights(l)
-	for ri, r := range rows {
+	for _, r := range rows {
 		o := s.row(l.OutSlot + r)
 		p0, p1 := w.RowPtr[r], w.RowPtr[r+1]
 		cols, vals := w.Col[p0:p1], val[p0:p1]
@@ -87,17 +87,6 @@ func (s *lanes[T]) run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs [
 					}
 				}
 			}
-		case plan.KTable:
-			tab := tabs[ri]
-			for i := range o {
-				idx := 0
-				for j, c := range cols {
-					if s.acts[int(c)*s.batch+i] != 0 {
-						idx |= 1 << uint(j)
-					}
-				}
-				o[i] = T(tab >> uint(idx) & 1)
-			}
 		case plan.KGeneral:
 			s.sum(o, cols, vals)
 			th := thresh[r]
@@ -120,7 +109,8 @@ func (s *lanes[T]) run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs [
 func (s *lanes[T]) sum(o []T, cols []int32, vals []T) {
 	clear(o)
 	for j, c := range cols {
-		x := s.row(c)
+		// Resliced to len(o) so the compiler drops the o[i] bounds check.
+		x := s.row(c)[:len(o)]
 		if v := vals[j]; v == 1 {
 			for i, xv := range x {
 				o[i] += xv

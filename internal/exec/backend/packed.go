@@ -62,7 +62,7 @@ func newPacked(p *plan.Plan, batch int, tr *obs.Trace) (*packed, error) {
 		tailMask: tensor.PackedTailMask(batch)}, nil
 }
 
-func (s *packed) run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs []uint64) {
+func (s *packed) run(l *plan.Layer, kind plan.KernelKind, rows []int32) {
 	w, x, words := l.WInt, s.acts, s.words
 	y := s.acts[int(l.OutSlot)*words:]
 	switch kind {
@@ -84,8 +84,6 @@ func (s *packed) run(l *plan.Layer, kind plan.KernelKind, rows []int32, tabs []u
 		w.PackedOrRows(x, words, y, rows, true)
 	case plan.KXor2:
 		w.PackedXorRows(x, words, y, rows)
-	case plan.KTable:
-		w.PackedTableRows(x, words, y, rows, tabs)
 	case plan.KLinear:
 		w.PackedLinearRows(x, words, y, rows)
 	case plan.KGeneral:

@@ -33,12 +33,10 @@ var ErrNoClusters = errors.New("plan: no cluster metadata for activity dispatch"
 var ErrAliasedSlots = errors.New("plan: arena slots are aliased; activity dispatch needs DisableArenaReuse")
 
 // ActivitySegment is the slice of one row group owned by one cluster:
-// the unit of skipping. Rows keep the group's ascending order; Tables
-// is the parallel 64-bit LUT slice for KTable groups, nil otherwise.
+// the unit of skipping. Rows keep the group's ascending order.
 type ActivitySegment struct {
 	Cluster int32
 	Rows    []int32
-	Tables  []uint64
 }
 
 // ActivityIndex is the per-plan dispatch index for activity-driven
@@ -172,11 +170,11 @@ func cutGroup(g *RowGroup, rowCluster []int32, numClusters int) ([]ActivitySegme
 		}
 	}
 	if uniform {
-		return []ActivitySegment{{Cluster: rowCluster[g.Rows[0]], Rows: g.Rows, Tables: g.Tables}}, nil
+		return []ActivitySegment{{Cluster: rowCluster[g.Rows[0]], Rows: g.Rows}}, nil
 	}
 	segOf := make(map[int32]int, 4)
 	var segs []ActivitySegment
-	for i, r := range g.Rows {
+	for _, r := range g.Rows {
 		ci := rowCluster[r]
 		si, ok := segOf[ci]
 		if !ok {
@@ -185,9 +183,6 @@ func cutGroup(g *RowGroup, rowCluster []int32, numClusters int) ([]ActivitySegme
 			segs = append(segs, ActivitySegment{Cluster: ci})
 		}
 		segs[si].Rows = append(segs[si].Rows, r)
-		if g.Tables != nil {
-			segs[si].Tables = append(segs[si].Tables, g.Tables[i])
-		}
 	}
 	return segs, nil
 }

@@ -7,9 +7,8 @@ import (
 
 // TestActivityIndexPartition compiles with Options.Activity and checks
 // the dispatch index against the kernel IR: per (layer, group), the
-// segments must partition the group's rows exactly — same rows, same
-// order, tables kept parallel — and every segment's rows must map to
-// its cluster through RowCluster.
+// segments must partition the group's rows exactly — same rows — and
+// every segment's rows must map to its cluster through RowCluster.
 func TestActivityIndexPartition(t *testing.T) {
 	for _, merge := range []bool{true, false} {
 		model := buildModel(t, 4, merge)
@@ -34,7 +33,6 @@ func TestActivityIndexPartition(t *testing.T) {
 			for gi := range l.Groups {
 				g := &l.Groups[gi]
 				var rows []int32
-				var tabs []uint64
 				for _, s := range idx.Segments[li][gi] {
 					for _, r := range s.Rows {
 						if rc[r] != s.Cluster {
@@ -43,30 +41,20 @@ func TestActivityIndexPartition(t *testing.T) {
 						}
 					}
 					rows = append(rows, s.Rows...)
-					tabs = append(tabs, s.Tables...)
 				}
 				// The segments must cover the group exactly: same rows
-				// as a set, and per row the same LUT table.
+				// as a set.
 				if len(rows) != len(g.Rows) {
 					t.Fatalf("layer %d group %d: segments carry %d rows, group has %d",
 						li, gi, len(rows), len(g.Rows))
 				}
-				want := make(map[int32]uint64, len(g.Rows))
-				for i, r := range g.Rows {
-					if g.Tables != nil {
-						want[r] = g.Tables[i]
-					} else {
-						want[r] = 0
-					}
+				want := make(map[int32]bool, len(g.Rows))
+				for _, r := range g.Rows {
+					want[r] = true
 				}
-				for i, r := range rows {
-					tab, ok := want[r]
-					if !ok {
+				for _, r := range rows {
+					if !want[r] {
 						t.Fatalf("layer %d group %d: segment row %d not in group", li, gi, r)
-					}
-					if g.Tables != nil && tabs[i] != tab {
-						t.Fatalf("layer %d group %d row %d: segment table %#x, group table %#x",
-							li, gi, r, tabs[i], tab)
 					}
 					delete(want, r)
 				}

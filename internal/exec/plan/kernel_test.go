@@ -8,7 +8,7 @@ import (
 )
 
 // requireSameGroups fails unless two plans carry bit-identical kernel
-// IR: layer count, group order, rows and tables.
+// IR: layer count, group order and rows.
 func requireSameGroups(t *testing.T, p1, p2 *Plan) {
 	t.Helper()
 	if len(p1.Layers) != len(p2.Layers) {
@@ -58,9 +58,6 @@ func TestGroupsPartitionRows(t *testing.T) {
 						}
 						covered[r] = true
 					}
-					if g.Kind == KTable && len(g.Tables) != len(g.Rows) {
-						t.Fatalf("layer %d: KTable tables %d for %d rows", li, len(g.Tables), len(g.Rows))
-					}
 				}
 				for r, c := range covered {
 					if !c {
@@ -70,77 +67,6 @@ func TestGroupsPartitionRows(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRowTableMatchesWeights re-derives each selected truth table by
-// brute-force enumeration of the row's weight/threshold form.
-func TestRowTableMatchesWeights(t *testing.T) {
-	_, p := compilePlan(t, 4, false)
-	tables := 0
-	for li := range p.Layers {
-		l := &p.Layers[li]
-		kinds, tabs := l.RowKinds()
-		for r := 0; r < l.WInt.Rows; r++ {
-			if kinds[r] != KTable {
-				continue
-			}
-			tables++
-			p0, p1 := l.WInt.RowPtr[r], l.WInt.RowPtr[r+1]
-			k := int(p1 - p0)
-			if k > MaxTableInputs {
-				t.Fatalf("layer %d row %d: %d-input row selected KTable", li, r, k)
-			}
-			var th int64
-			if !l.Linear() {
-				th = int64(l.Thresh[r])
-			}
-			for i := 0; i < 1<<uint(k); i++ {
-				var sum int64
-				for j := 0; j < k; j++ {
-					if i>>uint(j)&1 == 1 {
-						sum += int64(l.WInt.Val[p0+int32(j)])
-					}
-				}
-				want := sum > th
-				got := tabs[r]>>uint(i)&1 == 1
-				if got != want {
-					t.Fatalf("layer %d row %d assignment %d: table %v, weights %v", li, r, i, got, want)
-				}
-			}
-		}
-	}
-	t.Logf("%d KTable rows verified", tables)
-}
-
-// TestTableOpsBounds pins the cost model against the evaluator: pricing
-// is positive and constant tables cost exactly one op.
-func TestTableOpsBounds(t *testing.T) {
-	if TableOps(0, 6) != 1 || TableOps(^uint64(0), 6) != 1 {
-		t.Fatal("constant tables must cost one op")
-	}
-	// Parity of 6 inputs is the Shannon worst case: no constant or
-	// shared cofactors anywhere, so the full mux tree is priced.
-	var parity uint64
-	for i := 0; i < 64; i++ {
-		if popcnt6(i)%2 == 1 {
-			parity |= 1 << uint(i)
-		}
-	}
-	if ops := TableOps(parity, 6); ops < 100 {
-		t.Fatalf("6-input parity priced at %d ops — cost gate would misfire", ops)
-	}
-	if ops := TableOps(0xAAAAAAAAAAAAAAAA, 6); ops != 1+1+3 {
-		// f = x0: one mux over two constant leaves.
-		t.Fatalf("f=x0 priced at %d ops, want 5", ops)
-	}
-}
-
-func popcnt6(i int) int {
-	n := 0
-	for j := 0; j < 6; j++ {
-		n += i >> uint(j) & 1
-	}
-	return n
 }
 
 // TestKernelIRRoundTrip pins determinism where
@@ -210,13 +136,14 @@ func TestKindOfRow(t *testing.T) {
 		{"const-never", row([]int32{1, 1}, 2, false), KConst0},
 		{"const-always", row([]int32{1, 1}, -1, false), KConst1},
 		{"empty", row(nil, 0, false), KConst0},
-		{"general", row([]int32{2, 1}, 1, false), KTable},
+		{"general", row([]int32{2, 1}, 1, false), KGeneral},
 		{"xor-form", row([]int32{1, 1, -2}, 0, true), KXor2},
 		{"linear-buffer", row([]int32{1}, 0, true), KCopy},
 		{"linear-general", row([]int32{1, 1, -1}, 0, true), KLinear},
+		{"linear-6", row([]int32{1, 1, 1, 1, -2, -2}, 0, true), KLinear},
 	}
 	for _, tc := range cases {
-		if got, _ := KindOfRow(tc.layer, 0); got != tc.want {
+		if got := KindOfRow(tc.layer, 0); got != tc.want {
 			t.Errorf("%s: selected %s, want %s", tc.name, got, tc.want)
 		}
 	}

@@ -35,15 +35,14 @@ var (
 		ID: "EX005", Stage: diag.StagePlan, Severity: diag.Error,
 		Summary: "integer weight mirror disagrees with float weights"})
 	// RuleEXGroups fires when a layer's row groups do not partition its
-	// rows exactly once in ascending order, reference rows out of range,
-	// or carry a Tables slice out of step with Rows.
+	// rows exactly once in ascending order, or reference rows out of
+	// range.
 	RuleEXGroups = diag.Register(diag.Rule{
 		ID: "EX006", Stage: diag.StagePlan, Severity: diag.Error,
 		Summary: "kernel row groups do not partition the layer"})
 	// RuleEXKernelSem fires when a specialized kernel disagrees with the
 	// row it lowers: the group kind differs from re-deriving the row's
-	// kind, or a LUT kernel's table differs from re-enumerating the
-	// row's truth table.
+	// kind.
 	RuleEXKernelSem = diag.Register(diag.Rule{
 		ID: "EX007", Stage: diag.StagePlan, Severity: diag.Error,
 		Summary: "specialized kernel disagrees with its source row"})
@@ -152,11 +151,11 @@ func (p *Plan) Lint() []diag.Diagnostic {
 }
 
 // lintGroups verifies the layer's kernel IR: the row groups must cover
-// every row exactly once in ascending order with in-range rows and a
-// Tables slice in step with Rows (EX006), and each group's kernel must
-// agree with re-deriving the row's kind and truth table from the
-// weights and fused threshold (EX007) — the static proof that the
-// specialized dispatch computes the same function as the generic path.
+// every row exactly once in ascending order with in-range rows (EX006),
+// and each group's kernel must agree with re-deriving the row's kind
+// from the weights and fused threshold (EX007) — the static proof that
+// the specialized dispatch computes the same function as the generic
+// path.
 func lintGroups(loc string, pl *Layer) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	rows := pl.W.Rows
@@ -171,11 +170,6 @@ func lintGroups(loc string, pl *Layer) []diag.Diagnostic {
 	sound := true
 	for gi := range pl.Groups {
 		g := &pl.Groups[gi]
-		if g.Kind == KTable && len(g.Tables) != len(g.Rows) {
-			ds = append(ds, RuleEXGroups.New(loc,
-				"group %d (%s) carries %d tables for %d rows", gi, g.Kind, len(g.Tables), len(g.Rows)))
-			sound = false
-		}
 		prev := int32(-1)
 		for _, r := range g.Rows {
 			if r < 0 || int(r) >= rows {
@@ -209,16 +203,10 @@ func lintGroups(loc string, pl *Layer) []diag.Diagnostic {
 	}
 	for gi := range pl.Groups {
 		g := &pl.Groups[gi]
-		for ri, r := range g.Rows {
-			kind, tab := KindOfRow(pl, int(r))
-			if kind != g.Kind {
+		for _, r := range g.Rows {
+			if kind := KindOfRow(pl, int(r)); kind != g.Kind {
 				ds = append(ds, RuleEXKernelSem.New(loc,
 					"row %d grouped as %s, re-derivation says %s", r, g.Kind, kind))
-				continue
-			}
-			if g.Kind == KTable && g.Tables[ri] != tab {
-				ds = append(ds, RuleEXKernelSem.New(loc,
-					"row %d LUT table %#x, re-enumerated truth table %#x", r, g.Tables[ri], tab))
 			}
 		}
 	}

@@ -3,8 +3,8 @@
 // backend split of the execution engine. Where nn.Model describes the
 // network (what to compute), a Plan fixes how it is computed:
 //
-//   - kernel selection — every row is assigned the cheapest kernel
-//     that computes it exactly and rows sharing a kernel are batched
+//   - kernel selection — every row is assigned the exact kernel its
+//     weights and threshold match and rows sharing a kernel are batched
 //     into row groups (kernel.go), so backends dispatch once per
 //     (layer, kind);
 //   - threshold fusion — the float bias vector of each threshold layer

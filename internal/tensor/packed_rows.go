@@ -3,8 +3,7 @@
 // evaluates contiguous row ranges through the generic bit-sliced
 // threshold path, the kernels here take explicit row lists and exploit
 // the row's shape: constants are stores, buffers are word copies,
-// AND/OR/NAND/NOR rows are word-wide boolean reductions, ≤6-input rows
-// evaluate their 64-bit truth table by Shannon cofactoring, and the
+// AND/OR/NAND/NOR rows are word-wide boolean reductions, and the
 // remaining general rows run a 4-word unrolled bit-sliced loop.
 //
 // Layout matches packed.go: x is the packed activation arena (words
@@ -121,55 +120,6 @@ func (m *Int32CSR) PackedXorRows(x []uint64, words int, y []uint64, rows []int32
 			for i := range out {
 				out[i] = 0
 			}
-		}
-	}
-}
-
-// EvalTable64 evaluates a ≤6-input truth table over gathered input
-// words by Shannon cofactoring on the table constant: the high half of
-// tab is the cofactor at x_{k-1}=1, the low half at x_{k-1}=0, and the
-// recursion prunes constant and equal cofactors, so simple functions
-// cost far fewer than 2^k ops. tab must be masked to its 2^k bits;
-// xs[0..k-1] are the input words (variable j = bit j of the table
-// index).
-func EvalTable64(tab uint64, k int, xs *[6]uint64) uint64 {
-	if tab == 0 {
-		return 0
-	}
-	if tab == evalMask(k) {
-		return ^uint64(0)
-	}
-	half := uint(1) << uint(k-1)
-	m := evalMask(k - 1)
-	lo, hi := tab&m, tab>>half&m
-	if lo == hi {
-		return EvalTable64(lo, k-1, xs)
-	}
-	x := xs[k-1]
-	return (EvalTable64(lo, k-1, xs) &^ x) | (EvalTable64(hi, k-1, xs) & x)
-}
-
-func evalMask(k int) uint64 {
-	if k >= 6 {
-		return ^uint64(0)
-	}
-	return 1<<(1<<uint(k)) - 1
-}
-
-// PackedTableRows evaluates each listed row's 64-bit truth table over
-// its gathered input words. tables is parallel to rows.
-func (m *Int32CSR) PackedTableRows(x []uint64, words int, y []uint64, rows []int32, tables []uint64) {
-	var xs [6]uint64
-	for i, r := range rows {
-		tab := tables[i]
-		p0, p1 := m.RowPtr[r], m.RowPtr[r+1]
-		k := int(p1 - p0)
-		out := y[int(r)*words : (int(r)+1)*words]
-		for wi := range out {
-			for j := 0; j < k; j++ {
-				xs[j] = x[int(m.Col[p0+int32(j)])*words+wi]
-			}
-			out[wi] = EvalTable64(tab, k, &xs)
 		}
 	}
 }

@@ -201,92 +201,6 @@ func TestPackedBoolRows(t *testing.T) {
 	}
 }
 
-func TestEvalTable64Exhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for k := 0; k <= 6; k++ {
-		nAssign := 1 << uint(k)
-		for trial := 0; trial < 50; trial++ {
-			tab := rng.Uint64() & evalMask(k)
-			// Pack every assignment into distinct lanes: lane i carries
-			// assignment i, so variable j's word is the pattern of bit j
-			// across assignments.
-			var xs [6]uint64
-			for j := 0; j < k; j++ {
-				for i := 0; i < nAssign; i++ {
-					if i>>uint(j)&1 == 1 {
-						xs[j] |= 1 << uint(i)
-					}
-				}
-				// Garbage in the unused high lanes must not matter.
-				xs[j] |= rng.Uint64() &^ (1<<uint(nAssign) - 1)
-			}
-			got := EvalTable64(tab, k, &xs)
-			for i := 0; i < nAssign; i++ {
-				want := tab>>uint(i)&1 == 1
-				if (got>>uint(i)&1 == 1) != want {
-					t.Fatalf("k=%d tab=%x assignment %d: got %v want %v", k, tab, i, !want, want)
-				}
-			}
-		}
-	}
-}
-
-func TestPackedTableRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 40; trial++ {
-		cols := 2 + rng.Intn(20)
-		rows := 1 + rng.Intn(12)
-		var entries []Triple
-		ks := make([]int, rows)
-		for r := 0; r < rows; r++ {
-			seen := map[int32]bool{}
-			k := 1 + rng.Intn(6)
-			for len(seen) < k && len(seen) < cols {
-				c := int32(rng.Intn(cols))
-				if seen[c] {
-					continue
-				}
-				seen[c] = true
-				entries = append(entries, Triple{Row: int32(r), Col: c, Val: 1})
-			}
-			ks[r] = len(seen)
-		}
-		m, err := FromTriples(rows, cols, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mi := m.ToInt32()
-		rowList := make([]int32, rows)
-		tables := make([]uint64, rows)
-		for r := range rowList {
-			rowList[r] = int32(r)
-			tables[r] = rng.Uint64() & evalMask(ks[r])
-		}
-
-		for _, batch := range rowBatches {
-			words := PackedWords(batch)
-			x, xbits := packRandom(rng, cols, batch, words)
-			y := make([]uint64, rows*words)
-			mi.PackedTableRows(x, words, y, rowList, tables)
-			for r := 0; r < rows; r++ {
-				for b := 0; b < batch; b++ {
-					idx := 0
-					for j, p := 0, mi.RowPtr[r]; p < mi.RowPtr[r+1]; j, p = j+1, p+1 {
-						if xbits[mi.Col[p]][b] {
-							idx |= 1 << uint(j)
-						}
-					}
-					want := tables[r]>>uint(idx)&1 == 1
-					got := y[r*words+b/64]>>uint(b%64)&1 == 1
-					if got != want {
-						t.Fatalf("batch %d row %d lane %d idx %d: got %v want %v", batch, r, b, idx, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPackedRowsMatchRange proves the unrolled row-list kernels agree
 // with the established range kernels on arbitrary row subsets — the
 // multi-word unrolled body and its scalar tail included.
@@ -343,27 +257,4 @@ func TestPackedRowsMatchRange(t *testing.T) {
 			}
 		}
 	}
-}
-
-func FuzzEvalTable64(f *testing.F) {
-	f.Add(uint64(0xCA), uint8(3), uint64(1), uint64(2), uint64(4))
-	f.Add(^uint64(0), uint8(6), uint64(0), ^uint64(0), uint64(0x5555555555555555))
-	f.Fuzz(func(t *testing.T, tab uint64, k uint8, a, b, c uint64) {
-		kk := int(k % 7)
-		tab &= evalMask(kk)
-		xs := [6]uint64{a, b, c, a ^ b, b ^ c, a &^ c}
-		got := EvalTable64(tab, kk, &xs)
-		for lane := 0; lane < 64; lane++ {
-			idx := 0
-			for j := 0; j < kk; j++ {
-				if xs[j]>>uint(lane)&1 == 1 {
-					idx |= 1 << uint(j)
-				}
-			}
-			want := tab>>uint(idx)&1 == 1
-			if (got>>uint(lane)&1 == 1) != want {
-				t.Fatalf("k=%d tab=%x lane %d idx %d: got %v want %v", kk, tab, lane, idx, !want, want)
-			}
-		}
-	})
 }
