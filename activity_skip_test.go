@@ -14,9 +14,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"c2nn/internal/exec/analyze"
+	"c2nn/internal/exec/plan"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/nn"
 	"c2nn/internal/raceflag"
@@ -282,41 +283,181 @@ func TestActivitySkipOnSmokeTestbenches(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesBackendSkipDecisions pins the analyze.Probe to the
-// live backend: sampled at the same point the backend diffs its roots
-// (inputs set, Forward not yet run), the probe's dirty-cluster count
-// must equal the backend's dispatched-cluster tally for that exact
-// pass, on every backend, every cycle. The probe is the static
-// analyzer's skip oracle; this is what makes its predictions binding.
+// rootProbe is the skip oracle: a test-local re-derivation of the
+// activity backend's decisions from outside the engine. Before every
+// Forward it reads each sequential root's units in every lane through
+// PeekUnit, diffs them against its previous reading, and propagates
+// dirtiness forward along Clusters[c].Preds (clusters are sorted by
+// layer, so predecessors are decided first). A pass after a mutation
+// the root diff cannot see — Reset, PokeUnit, overlay install/remove —
+// dirties every cluster.
+type rootProbe struct {
+	eng *Engine
+	// roots[r] are root r's units (ports first, then FF Q bits);
+	// prev[r][i*batch+lane] is unit i's reading at the last pass,
+	// starting zeroed like the backend's snapshot.
+	roots   [][]int32
+	prev    [][]bool
+	toggles []int64
+	dirty   []bool
+	invalid bool
+}
+
+func newRootProbe(eng *Engine) *rootProbe {
+	m := eng.Model()
+	pr := &rootProbe{eng: eng, invalid: true, dirty: make([]bool, len(eng.Plan().Clusters.Clusters))}
+	for _, port := range m.Inputs {
+		pr.roots = append(pr.roots, port.Units)
+	}
+	for _, fb := range m.Feedback {
+		pr.roots = append(pr.roots, []int32{fb.ToPI})
+	}
+	pr.prev = make([][]bool, len(pr.roots))
+	for r, units := range pr.roots {
+		pr.prev[r] = make([]bool, len(units)*eng.Batch())
+	}
+	pr.toggles = make([]int64, len(pr.roots))
+	return pr
+}
+
+// predict reads the roots and returns the clusters the next Forward
+// must dispatch.
+func (pr *rootProbe) predict() []bool {
+	batch := pr.eng.Batch()
+	rootDirty := make([]bool, len(pr.roots))
+	for r, units := range pr.roots {
+		for i, u := range units {
+			for lane := 0; lane < batch; lane++ {
+				if v := pr.eng.PeekUnit(u, lane); v != pr.prev[r][i*batch+lane] {
+					pr.prev[r][i*batch+lane] = v
+					rootDirty[r] = true
+				}
+			}
+		}
+		if rootDirty[r] {
+			pr.toggles[r]++
+		}
+	}
+	numPorts := int32(len(pr.eng.Model().Inputs))
+	for ci, c := range pr.eng.Plan().Clusters.Clusters {
+		d := pr.invalid
+		for _, ref := range c.Roots {
+			if ref.Kind == plan.RootFF {
+				d = d || rootDirty[numPorts+ref.Index]
+			} else {
+				d = d || rootDirty[ref.Index]
+			}
+		}
+		for _, pc := range c.Preds {
+			d = d || pr.dirty[pc]
+		}
+		pr.dirty[ci] = d
+	}
+	pr.invalid = false
+	return pr.dirty
+}
+
+// stuckLane is a fault-style overlay: it forces one lane of one unit
+// high before the first layer of every pass it is installed for.
+type stuckLane struct {
+	unit int32
+	lane int
+}
+
+func (o stuckLane) Apply(e *Engine, layer int) {
+	if layer == -1 {
+		e.PokeUnit(o.unit, o.lane, true)
+	}
+}
+
+// TestProbeMatchesBackendSkipDecisions pins the backend's per-cluster
+// dirty counts to the test-local rootProbe, pass by pass and cluster by
+// cluster, on every substrate. Batch 70 with per-lane random stimuli
+// makes lanes differ and leaves a partial last word on the bit-packed
+// substrate; a Reset, a PokeUnit and an overlay install/remove each
+// force the all-dirty pass that follows them. The per-root toggle
+// counts behind `c2nn profile -activity` are checked alongside.
 func TestProbeMatchesBackendSkipDecisions(t *testing.T) {
 	model, err := CompileBenchmark("UART", Options{L: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const batch = 70
 	for _, prec := range backendPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			eng, err := NewEngine(model, EngineOptions{Batch: 1, Precision: prec, Activity: true})
+			eng, err := NewEngine(model, EngineOptions{
+				Batch: batch, Precision: prec, Activity: true, KeepAllActivations: true,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			pr, err := analyze.NewProbe(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clusters := len(eng.Plan().Clusters.Clusters)
-			st := newHoldStimuli(model, 99, 1)
-			for cyc := 0; cyc < 40; cyc++ {
+			pr := newRootProbe(eng)
+			ff := model.Feedback[0].ToPI
+			st := newHoldStimuli(model, 99, batch)
+			var before, after []int64
+			skips := 0
+			for cyc := 0; cyc < 60; cyc++ {
 				st.drive(t, eng)
-				pr.Sample()
-				dirtyBefore, _ := eng.ActivityCounters()
+				if cyc%20 >= 10 {
+					// Every lane reads its own random stimulus, so some
+					// lane moves almost every FF each cycle; holding
+					// reset half the time lets FF roots, and with them
+					// clusters, go clean.
+					if err := eng.SetInputUniform("rst", 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch cyc {
+				case 15:
+					eng.Reset()
+					pr.invalid = true
+				case 25:
+					eng.PokeUnit(ff, batch-1, !eng.PeekUnit(ff, batch-1))
+					pr.invalid = true
+				case 35:
+					if err := eng.WithFaults(stuckLane{unit: ff, lane: 3}); err != nil {
+						t.Fatal(err)
+					}
+				case 38:
+					if err := eng.WithFaults(nil); err != nil {
+						t.Fatal(err)
+					}
+					pr.invalid = true
+				}
+				if cyc >= 35 && cyc < 38 {
+					// Overlay passes run layer by layer with no skip
+					// pass, so the counters stand still.
+					d0, s0 := eng.ActivityCounters()
+					eng.Step()
+					if d1, s1 := eng.ActivityCounters(); d1 != d0 || s1 != s0 {
+						t.Fatalf("cycle %d: overlay pass moved the activity counters", cyc)
+					}
+					continue
+				}
+				want := pr.predict()
+				before = eng.ActivityClusterDirty(before)
 				eng.Forward()
-				dirtyAfter, _ := eng.ActivityCounters()
-				if got, want := int(dirtyAfter-dirtyBefore), pr.LastDirtyClusters(); got != want {
-					t.Fatalf("cycle %d: backend dispatched %d clusters, probe predicted %d (of %d)",
-						cyc, got, want, clusters)
+				after = eng.ActivityClusterDirty(after)
+				for ci, dirty := range want {
+					var n int64
+					if dirty {
+						n = 1
+					} else {
+						skips++
+					}
+					if got := after[ci] - before[ci]; got != n {
+						t.Fatalf("cycle %d cluster %d: backend dirty count moved by %d, probe predicted %d",
+							cyc, ci, got, n)
+					}
+				}
+				if got := eng.ActivityRootToggles(nil); !slices.Equal(got, pr.toggles) {
+					t.Fatalf("cycle %d: backend root toggles %v, probe %v", cyc, got, pr.toggles)
 				}
 				eng.LatchFeedback()
+			}
+			if skips == 0 {
+				t.Fatal("the probe never predicted a clean cluster: the skip path went unchecked")
 			}
 		})
 	}
@@ -352,7 +493,7 @@ func TestActivityStateMutationInvalidation(t *testing.T) {
 		{"PokeUnit", func(t *testing.T, eng *Engine) {
 			// Flip every FF's latched Q bit on one lane: state the root
 			// diff alone would attribute to a toggle, but the engine must
-			// also survive the generation bump the poke performs.
+			// also survive the invalidation the poke performs.
 			for _, fb := range model.Feedback {
 				eng.PokeUnit(fb.ToPI, 1, !eng.PeekUnit(fb.ToPI, 1))
 			}

@@ -27,7 +27,7 @@ func runProfile(args []string) error {
 		cycles    = fs.Int("cycles", 256, "random-stimulus clock cycles to drive (after the -tb script, if any)")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON file (open in chrome://tracing or Perfetto)")
 		metrOut   = fs.String("metrics", "", "write the metrics dump as JSON")
-		topN      = fs.Int("top", 10, "hot-layer table size (0 hides it)")
+		topN      = fs.Int("top", 10, "hot-layer and root-toggle table size (0 hides them)")
 		activityF = fs.Bool("activity", false, "enable activity-driven execution and report skip rate and per-root toggle rates")
 		maxSpans  = fs.Int("max-spans", obs.DefaultMaxSpans, "span arena capacity; spans beyond it are dropped (and reported)")
 	)
@@ -45,19 +45,7 @@ func runProfile(args []string) error {
 	}
 	defer s.eng.Close()
 
-	// With -activity the engine skips clean clusters; the probe samples
-	// the same root diff after every step to attribute the dirtiness to
-	// individual roots (the toggle table below).
-	var probe *analyze.Probe
-	var sample func() error
-	if *activityF {
-		var err error
-		if probe, err = analyze.NewProbe(s.eng); err != nil {
-			return err
-		}
-		sample = func() error { probe.Sample(); return nil }
-	}
-	d, err := s.drive(*cycles, nil, sample)
+	d, err := s.drive(*cycles, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -74,8 +62,8 @@ func runProfile(args []string) error {
 	}
 
 	printProfile(tr, *topN)
-	if probe != nil {
-		printActivity(s.eng, probe, *topN)
+	if *activityF {
+		printActivity(s.eng, *topN)
 	}
 	if dropped := tr.Dropped(); dropped > 0 {
 		fmt.Fprintf(os.Stderr,
@@ -102,25 +90,34 @@ func writeFileWith(path string, fn func(w io.Writer) error) error {
 }
 
 // printActivity renders the skip-rate line and the per-root toggle
-// table of an -activity run: which ports and flip-flops kept clusters
-// dirty, busiest first.
-func printActivity(eng *simengine.Engine, probe *analyze.Probe, topN int) {
+// table of an -activity run from the engine's own counters: how many
+// cluster dispatches every lane's root diff let the backend skip, what
+// share of the static cost the dirty ones carried, and which ports and
+// flip-flops kept clusters dirty, busiest first.
+func printActivity(eng *simengine.Engine, topN int) {
 	dirty, skipped := eng.ActivityCounters()
 	rate := 0.0
 	if tot := dirty + skipped; tot > 0 {
 		rate = float64(skipped) / float64(tot)
 	}
-	st := probe.Stats()
+	passes := (dirty + skipped) / int64(len(eng.Plan().Clusters.Clusters))
 	fmt.Printf("\nactivity: %d cluster dispatches skipped of %d (%.1f%%), dirty cost %.1f%% of static\n",
-		skipped, dirty+skipped, 100*rate, 100*st.DirtyCostFraction)
-	togs := probe.RootToggles()
-	if topN > 0 && len(togs) > topN {
-		togs = togs[:topN]
+		skipped, dirty+skipped, 100*rate,
+		100*analyze.DirtyCostFraction(eng.Plan(), eng.ActivityClusterDirty(nil), passes))
+	if topN <= 0 || passes == 0 {
+		return
 	}
-	fmt.Printf("root toggle rates (top %d of %d):\n", len(togs), len(probe.RootToggles()))
+	tog, names := eng.ActivityRootToggles(nil), eng.RootNames()
+	order := make([]int, len(tog))
+	for r := range order {
+		order[r] = r
+	}
+	// Busiest first; ties keep root order (ports before FFs).
+	sort.SliceStable(order, func(i, j int) bool { return tog[order[i]] > tog[order[j]] })
+	fmt.Printf("root toggle rates (top %d of %d):\n", min(topN, len(order)), len(order))
 	fmt.Printf("%-28s %10s %8s\n", "root", "toggles", "rate")
-	for _, tg := range togs {
-		fmt.Printf("%-28s %10d %7.1f%%\n", tg.Name, tg.Toggles, 100*tg.Rate)
+	for _, r := range order[:min(topN, len(order))] {
+		fmt.Printf("%-28s %10d %7.1f%%\n", names[r], tog[r], 100*float64(tog[r])/float64(passes))
 	}
 }
 

@@ -135,6 +135,9 @@ func runWatch(args []string) error {
 		}
 		return nil
 	}
+	// Open the first stats window now, so even a run shorter than
+	// -interval ends on a table with real rates.
+	eng.StatsSnapshot()
 	for !shouldStop() && (*loops == 0 || replays < *loops) {
 		if _, err := s.drive(cycles, nil, stepped); err != nil {
 			dumpFlight("error")

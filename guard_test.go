@@ -94,6 +94,12 @@ var guards = []guard{
 	// table it threaded through plan, backend and cost model are gone.
 	{why: "retired truth-table kernel",
 		pattern: `KTable|EvalTable64|PackedTableRows|RowTable|TableOps|MaxTableInputs`},
+
+	// Activity has one account, the backend's own counters: the lane-0
+	// observer that re-simulated its root diff, and the state generation
+	// only that observer read, must not come back.
+	{why: "retired activity probe",
+		pattern: `NewProbe|analyze\.Probe|StateGeneration|LastDirtyClusters|ActivityStats`},
 }
 
 func TestGuards(t *testing.T) {

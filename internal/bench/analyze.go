@@ -40,8 +40,8 @@ func smokeTestbench(c circuits.Circuit) (string, *testbench.Script, error) {
 // diagnostic) — then measures the bit-packed backend per layer and
 // reports the Pearson correlation between the static per-layer packed
 // word ops and the measured per-layer kernel time, and — where a smoke
-// testbench exists — samples root activity through the cluster graph
-// (activity.* rows).
+// testbench exists — replays it on an activity engine and reports the
+// clusters that engine dispatched (activity.* rows).
 func runAnalyze(e *Env, out *emitter) error {
 	return e.each(func(c circuits.Circuit, l int) error {
 		asp := e.Trace.Begin(fmt.Sprintf("analyze %s L=%d", c.Name, l))
@@ -108,15 +108,9 @@ func runAnalyze(e *Env, out *emitter) error {
 			return err
 		}
 		if script != nil {
-			st, err := probeTestbench(res, script)
-			if err != nil {
-				return fmt.Errorf("activity probe %s: %w", tb, err)
+			if err := probeTestbench(pt, res, script); err != nil {
+				return fmt.Errorf("activity replay %s: %w", tb, err)
 			}
-			pt.count("activity.steps", int64(st.Steps))
-			pt.count("activity.clusters", int64(st.Clusters))
-			pt.put("activity.avg_dirty_clusters", st.AvgDirtyClusters, "count")
-			pt.put("activity.dirty_fraction", st.DirtyFraction, "ratio")
-			pt.put("activity.dirty_cost_fraction", st.DirtyCostFraction, "ratio")
 		}
 		e.logf("[%s] L=%-2d %d clusters/%d comps, %d word-ops, alias clean=%v, r=%.3f",
 			c.Name, l, len(meta.Clusters), meta.NumComponents, ar.Cost.Total.PackedWordOps, clean, r)
@@ -124,25 +118,33 @@ func runAnalyze(e *Env, out *emitter) error {
 	})
 }
 
-// probeTestbench replays a testbench script on a fresh engine with an
-// activity probe sampling the sequential roots after every step.
-func probeTestbench(res *CompileResult, script *testbench.Script) (analyze.ActivityStats, error) {
-	eng, err := simengine.New(res.Model, simengine.Options{Batch: 2})
+// probeTestbench replays a testbench script on a fresh activity engine
+// and reports the engine's own dispatch counters: passes, the mean
+// dirty-cluster count and fraction, and the dirty clusters' share of
+// the static packed word-op cost.
+func probeTestbench(pt *emitter, res *CompileResult, script *testbench.Script) error {
+	eng, err := simengine.New(res.Model, simengine.Options{Batch: 2, Activity: true})
 	if err != nil {
-		return analyze.ActivityStats{}, err
+		return err
 	}
 	defer eng.Close()
-	if _, err := analyze.Run(eng.Plan(), analyze.Options{}); err != nil {
-		return analyze.ActivityStats{}, err
+	if _, err := script.Run(eng); err != nil {
+		return err
 	}
-	pr, err := analyze.NewProbe(eng)
-	if err != nil {
-		return analyze.ActivityStats{}, err
+	dirty, skipped := eng.ActivityCounters()
+	clusters := int64(len(eng.Plan().Clusters.Clusters))
+	passes := (dirty + skipped) / clusters
+	var avg float64
+	if passes > 0 {
+		avg = float64(dirty) / float64(passes)
 	}
-	_, err = script.RunOpts(eng, testbench.RunOptions{
-		Trace: func(int) error { pr.Sample(); return nil },
-	})
-	return pr.Stats(), err
+	pt.count("activity.steps", passes)
+	pt.count("activity.clusters", clusters)
+	pt.put("activity.avg_dirty_clusters", avg, "count")
+	pt.put("activity.dirty_fraction", avg/float64(clusters), "ratio")
+	pt.put("activity.dirty_cost_fraction",
+		analyze.DirtyCostFraction(eng.Plan(), eng.ActivityClusterDirty(nil), passes), "ratio")
+	return nil
 }
 
 // layerTimes aggregates the engine's "layer NNN kernel" spans into a

@@ -428,43 +428,35 @@ func TestClusterCostPartition(t *testing.T) {
 	}
 }
 
-// TestProbe drives an engine with quiet inputs: after the first
-// all-dirty sample, nothing toggles, so every later step is fully
-// clean.
-func TestProbe(t *testing.T) {
+// TestDirtyCostFraction prices an activity engine's own per-cluster
+// dispatch counts: the first pass dispatches every cluster, and with
+// constant-zero inputs and a held FF state no later pass dispatches
+// any, so the run spent exactly one pass's worth of the static cost.
+func TestDirtyCostFraction(t *testing.T) {
 	model, _ := compilePlan(t, 4, false)
-	eng, err := simengine.New(model, simengine.Options{Batch: 2})
+	eng, err := simengine.New(model, simengine.Options{Batch: 2, Activity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := Run(eng.Plan(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := NewProbe(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const steps = 4
 	for i := 0; i < steps; i++ {
 		eng.Step()
-		pr.Sample()
 	}
-	st := pr.Stats()
-	if st.Steps != steps {
-		t.Fatalf("sampled %d steps, want %d", st.Steps, steps)
+	p, dirty := eng.Plan(), eng.ActivityClusterDirty(nil)
+	if len(dirty) != len(p.Clusters.Clusters) {
+		t.Fatalf("%d per-cluster counts, plan has %d clusters", len(dirty), len(p.Clusters.Clusters))
 	}
-	if st.Clusters != len(res.Plan.Clusters.Clusters) {
-		t.Fatalf("probe sees %d clusters, metadata has %d", st.Clusters, len(res.Plan.Clusters.Clusters))
+	if got, want := DirtyCostFraction(p, dirty, steps), 1.0/steps; got != want {
+		t.Fatalf("quiet run: dirty cost fraction %v, want %v", got, want)
 	}
-	// First step dirties everything; with constant-zero inputs and a
-	// held FF state, later steps must be fully clean.
-	want := float64(st.Clusters) / float64(steps)
-	if st.AvgDirtyClusters > want+1e-9 {
-		t.Fatalf("avg dirty clusters %.3f, want <= %.3f (quiet workload)", st.AvgDirtyClusters, want)
+	for ci := range dirty {
+		dirty[ci] = steps
 	}
-	if st.DirtyCostFraction < 0 || st.DirtyCostFraction > 1 {
-		t.Fatalf("dirty cost fraction %v out of range", st.DirtyCostFraction)
+	if got := DirtyCostFraction(p, dirty, steps); got != 1 {
+		t.Fatalf("all-dirty run: dirty cost fraction %v, want 1", got)
+	}
+	if got := DirtyCostFraction(p, dirty, 0); got != 0 {
+		t.Fatalf("no passes: dirty cost fraction %v, want 0", got)
 	}
 }

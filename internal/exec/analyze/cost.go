@@ -241,3 +241,22 @@ func ClusterCosts(p *plan.Plan) []ClusterCost {
 	}
 	return out
 }
+
+// DirtyCostFraction prices an activity run's per-cluster dirty counts
+// (Engine.ActivityClusterDirty: dirty[c] passes dispatched cluster c)
+// with ClusterCosts: Σ dirty[c]·cost[c] / (passes · Σ cost), the share
+// of the full-dispatch packed word ops the run actually spent. Zero
+// for no passes, no clusters or no cost.
+func DirtyCostFraction(p *plan.Plan, dirty []int64, passes int64) float64 {
+	var spent, total int64
+	for ci, cc := range ClusterCosts(p) {
+		total += cc.PackedWordOps
+		if ci < len(dirty) {
+			spent += dirty[ci] * cc.PackedWordOps
+		}
+	}
+	if passes <= 0 || total <= 0 {
+		return 0
+	}
+	return float64(spent) / (float64(passes) * float64(total))
+}

@@ -41,10 +41,12 @@ type activity struct {
 	// Lifetime tallies are atomic so samplers and StatsSnapshot can
 	// read them from another goroutine while a pass is in flight.
 	nDirty, nSkipped atomic.Int64
-	// rootTog[r] counts passes on which root r actually toggled
-	// (invalidations excluded) — the busiest-root signal behind the
-	// telemetry layer's toggle windows.
+	// rootTog[r] counts passes on which root r actually toggled — the
+	// busiest-root signal behind the telemetry layer's toggle windows.
+	// clusterDirty[c] counts passes on which cluster c was dispatched
+	// dirty — what prices a run's dirty cost (analyze.DirtyCostFraction).
 	rootTog          []atomic.Int64
+	clusterDirty     []atomic.Int64
 	cDirty, cSkipped *obs.Counter
 }
 
@@ -70,6 +72,7 @@ func (a *activity) enable(p *plan.Plan, tr *obs.Trace) error {
 	a.rootDirty = make([]bool, idx.NumRoots)
 	a.rootTog = make([]atomic.Int64, idx.NumRoots)
 	a.dirty = make([]bool, len(a.meta.Clusters))
+	a.clusterDirty = make([]atomic.Int64, len(a.meta.Clusters))
 	a.rows = make([][][]int32, len(p.Layers))
 	for li := range p.Layers {
 		a.rows[li] = make([][]int32, len(p.Layers[li].Groups))
@@ -129,6 +132,7 @@ func (a *activity) begin(sub substrate) {
 		a.dirty[ci] = d
 		if d {
 			nd++
+			a.clusterDirty[ci].Add(1)
 		}
 	}
 	ns := int64(len(a.dirty)) - nd
@@ -173,4 +177,19 @@ func (a *activity) rowsFor(li, gi int, g *plan.RowGroup) []int32 {
 	}
 	a.rows[li][gi] = rows
 	return rows
+}
+
+// loadCounts copies atomic tallies into dst (nil for no tallies).
+func loadCounts(src []atomic.Int64, dst []int64) []int64 {
+	if src == nil {
+		return nil
+	}
+	if cap(dst) < len(src) {
+		dst = make([]int64, len(src))
+	}
+	dst = dst[:len(src)]
+	for i := range src {
+		dst[i] = src[i].Load()
+	}
+	return dst
 }

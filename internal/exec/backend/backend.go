@@ -216,24 +216,21 @@ func (b *Backend) ActivityCounters() (dirty, skipped int64) {
 
 // ActivityRootToggles copies the lifetime per-root toggle counts (how
 // many passes each sequential root — input port or FF Q bit — actually
-// changed value) into dst, growing it when needed, and returns the
-// filled slice in plan.ActivityIndex root order. Returns nil when
-// activity is disabled. Safe concurrently with Forward — each count is
-// read atomically, a consistent-enough live view for telemetry ranking
-// busiest roots, not a barrier snapshot.
+// changed value in any lane) into dst, growing it when needed, and
+// returns the filled slice in plan.ActivityIndex root order. Returns
+// nil when activity is disabled. Safe concurrently with Forward — each
+// count is read atomically, a consistent-enough live view for telemetry
+// ranking busiest roots, not a barrier snapshot.
 func (b *Backend) ActivityRootToggles(dst []int64) []int64 {
-	if !b.act.enabled {
-		return nil
-	}
-	tog := b.act.rootTog
-	if cap(dst) < len(tog) {
-		dst = make([]int64, len(tog))
-	}
-	dst = dst[:len(tog)]
-	for r := range tog {
-		dst[r] = tog[r].Load()
-	}
-	return dst
+	return loadCounts(b.act.rootTog, dst)
+}
+
+// ActivityClusterDirty copies the lifetime per-cluster dirty counts
+// (how many passes dispatched each cluster of plan.ClusterMeta) into
+// dst, growing it when needed. Returns nil when activity is disabled;
+// concurrency as ActivityRootToggles.
+func (b *Backend) ActivityClusterDirty(dst []int64) []int64 {
+	return loadCounts(b.act.clusterDirty, dst)
 }
 
 // instr is the driver's observability hook-up: pre-built per-layer

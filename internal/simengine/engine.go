@@ -116,10 +116,6 @@ type Engine struct {
 	tr       *obs.Trace
 	stats    *engineStats // nil when Options.Stats is off
 	close    sync.Once
-	// gen counts state mutations the activity root-diff cannot observe
-	// (Reset, PokeUnit, overlay churn); observers like analyze.Probe
-	// compare generations to re-enter their all-dirty state in step.
-	gen uint64
 }
 
 // New creates an engine for the model: the model is lowered to an
@@ -209,10 +205,14 @@ func (e *Engine) ActivityEnabled() bool { return e.activity }
 // without Options.Activity).
 func (e *Engine) ActivityCounters() (dirty, skipped int64) { return e.be.ActivityCounters() }
 
-// StateGeneration counts the state mutations the activity root diff
-// cannot observe (Reset, PokeUnit, WithFaults churn). Observers like
-// analyze.Probe re-enter their all-dirty state when it advances.
-func (e *Engine) StateGeneration() uint64 { return e.gen }
+// ActivityRootToggles copies the backend's lifetime per-root toggle
+// counts into dst, in RootNames order (nil without Options.Activity).
+func (e *Engine) ActivityRootToggles(dst []int64) []int64 { return e.be.ActivityRootToggles(dst) }
+
+// ActivityClusterDirty copies the backend's lifetime per-cluster dirty
+// counts into dst, indexed like Plan().Clusters (nil without
+// Options.Activity).
+func (e *Engine) ActivityClusterDirty(dst []int64) []int64 { return e.be.ActivityClusterDirty(dst) }
 
 // Reset clears all activations — including the Q lanes of flip-flops
 // without initial state — and restores flip-flop initial state in every
@@ -227,9 +227,8 @@ func (e *Engine) Reset() {
 	}
 	// The wipe rewrote intermediate slots behind the root diff's back:
 	// the next activity pass must recompute everything.
-	e.gen++
 	e.be.InvalidateActivity()
-	e.tr.Event("engine", "reset", obs.Attr{Key: "gen", Int: int64(e.gen)})
+	e.tr.Event("engine", "reset")
 }
 
 // SetInput loads an input port: values[b] is the port value for batch
@@ -301,12 +300,11 @@ func (e *Engine) WithFaults(o Overlay) error {
 	// Installing forces lanes mid-pass; removing leaves forced values
 	// behind in intermediate slots. Either way the root diff cannot
 	// see it, so the next activity pass recomputes everything.
-	e.gen++
 	e.be.InvalidateActivity()
 	if o != nil {
-		e.tr.Event("overlay", "overlay.install", obs.Attr{Key: "gen", Int: int64(e.gen)})
+		e.tr.Event("overlay", "overlay.install")
 	} else {
-		e.tr.Event("overlay", "overlay.remove", obs.Attr{Key: "gen", Int: int64(e.gen)})
+		e.tr.Event("overlay", "overlay.remove")
 	}
 	return nil
 }
@@ -323,7 +321,6 @@ func (e *Engine) PeekUnit(unit int32, lane int) bool {
 // root diff never inspects — so it invalidates the dirtiness state.
 func (e *Engine) PokeUnit(unit int32, lane int, v bool) {
 	e.be.Set(e.plan.Slot[unit], lane, v)
-	e.gen++
 	e.be.InvalidateActivity()
 	// Overlays poke per layer per pass; the recorder check keeps the
 	// variadic attr slice from being built when nobody is listening.

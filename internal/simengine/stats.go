@@ -54,7 +54,8 @@ type StatsSnapshot struct {
 	WindowPasses int64 `json:"window_passes"`
 	WindowCycles int64 `json:"window_cycles"`
 
-	// CyclesPerSec is the EWMA-smoothed engine step rate;
+	// CyclesPerSec is the EWMA-smoothed engine step rate, seeded with
+	// the first window;
 	// WindowCyclesPerSec the raw rate of the latest window. Multiply by
 	// Batch (and the model's gate count) for the paper's gates·cycles/s.
 	CyclesPerSec       float64 `json:"cycles_per_sec"`
@@ -110,6 +111,7 @@ type engineStats struct {
 	lastDirty  int64
 	lastSkip   int64
 	ewma       float64
+	haveEWMA   bool
 	prevTog    []int64
 	curTog     []int64
 	rootNames  []string
@@ -187,7 +189,11 @@ func (e *Engine) StatsSnapshot() (StatsSnapshot, bool) {
 		snap.WindowSkipped = snap.SkippedClusters - s.lastSkip
 		if span := now.Sub(s.lastTime); span > 0 {
 			snap.WindowCyclesPerSec = float64(snap.WindowCycles) / span.Seconds()
-			s.ewma = statsEWMAAlpha*snap.WindowCyclesPerSec + (1-statsEWMAAlpha)*s.ewma
+			if s.haveEWMA {
+				s.ewma = statsEWMAAlpha*snap.WindowCyclesPerSec + (1-statsEWMAAlpha)*s.ewma
+			} else {
+				s.ewma, s.haveEWMA = snap.WindowCyclesPerSec, true
+			}
 		}
 		if tot := snap.WindowDirty + snap.WindowSkipped; tot > 0 {
 			snap.SkipRatePct = 100 * float64(snap.WindowSkipped) / float64(tot)
@@ -197,7 +203,7 @@ func (e *Engine) StatsSnapshot() (StatsSnapshot, bool) {
 	}
 	snap.CyclesPerSec = s.ewma
 
-	s.curTog = e.be.ActivityRootToggles(s.curTog)
+	s.curTog = e.ActivityRootToggles(s.curTog)
 	if s.curTog != nil {
 		snap.BusiestRoots = s.rankRoots(e)
 		if cap(s.prevTog) < len(s.curTog) {
@@ -229,7 +235,7 @@ func (e *Engine) StatsSnapshot() (StatsSnapshot, bool) {
 // fresh cumulative read, s.prevTog the previous snapshot's.
 func (s *engineStats) rankRoots(e *Engine) []RootToggleStat {
 	if s.rootNames == nil {
-		s.rootNames = rootNames(e)
+		s.rootNames = e.RootNames()
 	}
 	stats := make([]RootToggleStat, 0, len(s.curTog))
 	for r, cum := range s.curTog {
@@ -258,9 +264,10 @@ func (s *engineStats) rankRoots(e *Engine) []RootToggleStat {
 	return stats
 }
 
-// rootNames labels every sequential root in plan.ActivityIndex order:
-// input ports first, then flip-flop Q bits.
-func rootNames(e *Engine) []string {
+// RootNames labels every sequential root in plan.ActivityIndex order —
+// input ports first, then flip-flop Q bits — the order of
+// ActivityRootToggles.
+func (e *Engine) RootNames() []string {
 	m := e.model
 	names := make([]string, 0, len(m.Inputs)+len(m.Feedback))
 	for _, port := range m.Inputs {

@@ -56,6 +56,10 @@ func TestStatsSnapshotCountsAndWindows(t *testing.T) {
 	if s2.AvgPassNS <= 0 {
 		t.Errorf("avg pass ns = %d, want > 0", s2.AvgPassNS)
 	}
+	// The EWMA starts from the first window, not from zero.
+	if s2.CyclesPerSec != s2.WindowCyclesPerSec {
+		t.Errorf("first-window cycles/s: ewma %v, window %v", s2.CyclesPerSec, s2.WindowCyclesPerSec)
+	}
 	// Activity windows must partition the cumulative tallies.
 	if got := s2.WindowDirty + s2.WindowSkipped; got != (s2.DirtyClusters+s2.SkippedClusters)-(s1.DirtyClusters+s1.SkippedClusters) {
 		t.Errorf("activity window %d does not match cumulative delta", got)
