@@ -107,13 +107,8 @@ func printActivity(eng *simengine.Engine, topN int) {
 	if topN <= 0 || passes == 0 {
 		return
 	}
-	tog, names := eng.ActivityRootToggles(nil), eng.RootNames()
-	order := make([]int, len(tog))
-	for r := range order {
-		order[r] = r
-	}
-	// Busiest first; ties keep root order (ports before FFs).
-	sort.SliceStable(order, func(i, j int) bool { return tog[order[i]] > tog[order[j]] })
+	order, tog := rootsByToggles(eng.ActivityRootToggles(nil), nil)
+	names := eng.RootNames()
 	fmt.Printf("root toggle rates (top %d of %d):\n", min(topN, len(order)), len(order))
 	fmt.Printf("%-28s %10s %8s\n", "root", "toggles", "rate")
 	for _, r := range order[:min(topN, len(order))] {

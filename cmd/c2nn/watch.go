@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -97,6 +98,7 @@ func runWatch(args []string) error {
 
 	stopped := false
 	replays := 0
+	var windows watchWindows
 	shouldStop := func() bool {
 		if stopped {
 			return true
@@ -109,7 +111,9 @@ func runWatch(args []string) error {
 		case <-quit:
 			dumpFlight("SIGQUIT")
 		case <-render.C:
-			printWatchTable(eng, tr, s.name, s.opts.Precision.String(), replays, *plain, *quiet)
+			if !*quiet {
+				printWatchTable(eng, tr, &windows, s.name, s.opts.Precision.String(), replays, *plain)
+			}
 		default:
 		}
 		return stopped
@@ -137,7 +141,8 @@ func runWatch(args []string) error {
 	}
 	// Open the first stats window now, so even a run shorter than
 	// -interval ends on a table with real rates.
-	eng.StatsSnapshot()
+	windows.prev, _ = eng.StatsSnapshot()
+	windows.prevTog = eng.ActivityRootToggles(nil)
 	for !shouldStop() && (*loops == 0 || replays < *loops) {
 		if _, err := s.drive(cycles, nil, stepped); err != nil {
 			dumpFlight("error")
@@ -153,22 +158,101 @@ func runWatch(args []string) error {
 	}
 
 	sampler.TakeSample()
-	printWatchTable(eng, tr, s.name, s.opts.Precision.String(), replays, true, *quiet)
+	if !*quiet {
+		printWatchTable(eng, tr, &windows, s.name, s.opts.Precision.String(), replays, true)
+	}
 	dumpFlight("exit")
 	return nil
 }
 
-// printWatchTable renders one refresh of the live stats table. With
-// plain=false it homes the cursor and clears the screen first, so the
-// table redraws in place on a terminal.
-func printWatchTable(eng *simengine.Engine, tr *obs.Trace, circuit, backendName string, replays int, plain, quiet bool) {
-	// Snapshot before the quiet check: snapshotting is what publishes
-	// the engine.* gauges to the registry, and -quiet runs (the CI
-	// scrape test) still want them on /metrics.
-	s, ok := eng.StatsSnapshot()
-	if !ok || quiet {
-		return
+// watchEWMAAlpha weighs the newest window into the table's smoothed
+// cycles/s: high enough to track testbench phase changes within a few
+// refreshes, low enough to damp scheduler jitter.
+const watchEWMAAlpha = 0.3
+
+// watchTopRoots caps the table's busiest-root row.
+const watchTopRoots = 5
+
+// watchWindow is one refresh interval of the watch table: the
+// difference between two lifetime engine snapshots.
+type watchWindow struct {
+	Cycles, Dirty, Skipped int64
+	// CyclesPerSec is the window's step rate, EWMA its smoothed value
+	// seeded by the first window, SkipRatePct the window's share of
+	// cluster dispatches skipped.
+	CyclesPerSec, EWMA, SkipRatePct float64
+	// Roots are the window's busiest roots, busiest first, quiet roots
+	// omitted; Toggles[i] counts Roots[i]'s toggles in the window.
+	Roots   []int
+	Toggles []int64
+}
+
+// watchWindows is the watch table's reader state: the previous
+// snapshot and per-root toggle counts, and the running EWMA. The
+// engine keeps lifetime totals only; windows are this reader's.
+type watchWindows struct {
+	prev    simengine.StatsSnapshot
+	prevTog []int64
+	ewma    float64
+	seeded  bool
+}
+
+// next closes the window ending at cur, whose lifetime per-root toggle
+// counts are tog, and opens the next one there.
+func (w *watchWindows) next(cur simengine.StatsSnapshot, tog []int64) watchWindow {
+	win := watchWindow{
+		Cycles:  cur.Cycles - w.prev.Cycles,
+		Dirty:   cur.DirtyClusters - w.prev.DirtyClusters,
+		Skipped: cur.SkippedClusters - w.prev.SkippedClusters,
 	}
+	if span := cur.Time.Sub(w.prev.Time); span > 0 {
+		win.CyclesPerSec = float64(win.Cycles) / span.Seconds()
+		if w.seeded {
+			w.ewma = watchEWMAAlpha*win.CyclesPerSec + (1-watchEWMAAlpha)*w.ewma
+		} else {
+			w.ewma, w.seeded = win.CyclesPerSec, true
+		}
+	}
+	win.EWMA = w.ewma
+	if tot := win.Dirty + win.Skipped; tot > 0 {
+		win.SkipRatePct = 100 * float64(win.Skipped) / float64(tot)
+	}
+	order, delta := rootsByToggles(tog, w.prevTog)
+	for _, r := range order[:min(watchTopRoots, len(order))] {
+		if delta[r] <= 0 {
+			break
+		}
+		win.Roots = append(win.Roots, r)
+		win.Toggles = append(win.Toggles, delta[r])
+	}
+	w.prev, w.prevTog = cur, tog
+	return win
+}
+
+// rootsByToggles ranks roots by their toggle counts cur − prev (prev
+// may be shorter or nil, counting as zero): delta[r] is root r's count
+// and order lists every root, busiest first, ties in root order (ports
+// before FFs). watch ranks a window, profile -activity the lifetime.
+func rootsByToggles(cur, prev []int64) (order []int, delta []int64) {
+	delta = make([]int64, len(cur))
+	order = make([]int, len(cur))
+	for r := range cur {
+		delta[r], order[r] = cur[r], r
+		if r < len(prev) {
+			delta[r] -= prev[r]
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return delta[order[i]] > delta[order[j]] })
+	return order, delta
+}
+
+// printWatchTable renders one refresh of the live stats table over the
+// window since the previous refresh. With plain=false it homes the
+// cursor and clears the screen first, so the table redraws in place on
+// a terminal.
+func printWatchTable(eng *simengine.Engine, tr *obs.Trace, windows *watchWindows, circuit, backendName string, replays int, plain bool) {
+	s, _ := eng.StatsSnapshot()
+	w := windows.next(s, eng.ActivityRootToggles(nil))
 	var b strings.Builder
 	if !plain {
 		b.WriteString("\x1b[H\x1b[2J")
@@ -176,17 +260,18 @@ func printWatchTable(eng *simengine.Engine, tr *obs.Trace, circuit, backendName 
 	fmt.Fprintf(&b, "c2nn watch — %s on %s, batch %d, %d workers, %s arena\n",
 		circuit, backendName, s.Batch, s.Workers, fmtBytes(s.ArenaBytes))
 	fmt.Fprintf(&b, "%-22s %12d    %-18s %12d\n", "cycles", s.Cycles, "replays", replays)
-	fmt.Fprintf(&b, "%-22s %12.0f    %-18s %12.0f\n", "cycles/s (ewma)", s.CyclesPerSec, "cycles/s (window)", s.WindowCyclesPerSec)
+	fmt.Fprintf(&b, "%-22s %12.0f    %-18s %12.0f\n", "cycles/s (ewma)", w.EWMA, "cycles/s (window)", w.CyclesPerSec)
 	fmt.Fprintf(&b, "%-22s %12s    %-18s %12s\n", "pass p50", fmtNS(int64(s.PassNS.Quantile(0.5))), "pass p99", fmtNS(int64(s.PassNS.Quantile(0.99))))
 	fmt.Fprintf(&b, "%-22s %12s    %-18s %11.1f%%\n", "pass mean", fmtNS(s.AvgPassNS), "lane util", s.LaneUtilPct)
-	fmt.Fprintf(&b, "%-22s %11.1f%%    %-18s %5d/%d\n", "skip rate (window)", s.SkipRatePct, "dirty/skipped win", s.WindowDirty, s.WindowSkipped)
+	fmt.Fprintf(&b, "%-22s %11.1f%%    %-18s %5d/%d\n", "skip rate (window)", w.SkipRatePct, "dirty/skipped win", w.Dirty, w.Skipped)
 	if dropped := tr.Dropped(); dropped > 0 {
 		fmt.Fprintf(&b, "%-22s %12d    (raise the span cap or trim the run)\n", "DROPPED SPANS", dropped)
 	}
-	if len(s.BusiestRoots) > 0 {
+	if len(w.Roots) > 0 {
+		names := eng.RootNames()
 		fmt.Fprintf(&b, "busiest roots:")
-		for _, r := range s.BusiestRoots {
-			fmt.Fprintf(&b, "  %s ×%d", r.Name, r.WindowToggles)
+		for i, r := range w.Roots {
+			fmt.Fprintf(&b, "  %s ×%d", names[r], w.Toggles[i])
 		}
 		b.WriteByte('\n')
 	}

@@ -72,41 +72,34 @@ func TestFaultDetectionBackendIdentical(t *testing.T) {
 				}
 			}
 
-			// Every backend is graded with activity-driven skipping off
-			// and on: overlay passes always run full and overlay churn
-			// invalidates the dirtiness state, so the detected-fault set
-			// must be identical in all six configurations.
 			var ref *fault.Report
 			for _, prec := range backendPrecisions {
-				for _, activity := range []bool{false, true} {
-					rep, err := fault.Grade(model, m.Graph, u, script, fault.Config{
-						Precision:    prec,
-						Batch:        32,
-						RandomCycles: 16,
-						Seed:         5,
-						Activity:     activity,
-					})
-					if err != nil {
-						t.Fatalf("%v activity=%v: %v", prec, activity, err)
-					}
-					if rep.Detected+rep.Undetected != rep.Simulated {
-						t.Errorf("%v activity=%v: detected %d + undetected %d != simulated %d",
-							prec, activity, rep.Detected, rep.Undetected, rep.Simulated)
-					}
-					if rep.Detected == 0 {
-						t.Errorf("%v activity=%v: smoke testbench detected nothing", prec, activity)
-					}
-					if ref == nil {
-						ref = rep
-						continue
-					}
-					if !reflect.DeepEqual(ref.DetectedFaults, rep.DetectedFaults) {
-						t.Errorf("%v activity=%v detected set differs from %v:\n%v\n%v",
-							prec, activity, backendPrecisions[0], rep.DetectedFaults, ref.DetectedFaults)
-					}
-					if !reflect.DeepEqual(ref.UndetectedFaults, rep.UndetectedFaults) {
-						t.Errorf("%v activity=%v undetected set differs from %v", prec, activity, backendPrecisions[0])
-					}
+				rep, err := fault.Grade(model, m.Graph, u, script, fault.Config{
+					Precision:    prec,
+					Batch:        32,
+					RandomCycles: 16,
+					Seed:         5,
+				})
+				if err != nil {
+					t.Fatalf("%v: %v", prec, err)
+				}
+				if rep.Detected+rep.Undetected != rep.Simulated {
+					t.Errorf("%v: detected %d + undetected %d != simulated %d",
+						prec, rep.Detected, rep.Undetected, rep.Simulated)
+				}
+				if rep.Detected == 0 {
+					t.Errorf("%v: smoke testbench detected nothing", prec)
+				}
+				if ref == nil {
+					ref = rep
+					continue
+				}
+				if !reflect.DeepEqual(ref.DetectedFaults, rep.DetectedFaults) {
+					t.Errorf("%v detected set differs from %v:\n%v\n%v",
+						prec, backendPrecisions[0], rep.DetectedFaults, ref.DetectedFaults)
+				}
+				if !reflect.DeepEqual(ref.UndetectedFaults, rep.UndetectedFaults) {
+					t.Errorf("%v undetected set differs from %v", prec, backendPrecisions[0])
 				}
 			}
 			if tb != "uart_smoke.tb" {

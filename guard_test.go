@@ -100,6 +100,14 @@ var guards = []guard{
 	// only that observer read, must not come back.
 	{why: "retired activity probe",
 		pattern: `NewProbe|analyze\.Probe|StateGeneration|LastDirtyClusters|ActivityStats`},
+
+	// Engine statistics are counted once and windowed by their reader:
+	// StatsSnapshot is a stateless lifetime read and `c2nn watch` diffs
+	// snapshots, so the engine-side windows, EWMA, root ranking and the
+	// publish-on-read gauges must not come back — nor the fault and
+	// polynomial entry points nothing called.
+	{why: "retired engine-side stats windows",
+		pattern: `statsEWMAAlpha|RootToggleStat|BusiestRoots|WindowCyclesPerSec|rankRoots|StatsEnabled|FromTableIterative|ResetPass|engine\.cycles_per_sec|engine\.skip_rate_pct`},
 }
 
 func TestGuards(t *testing.T) {

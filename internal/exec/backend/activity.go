@@ -38,16 +38,16 @@ type activity struct {
 	// partial dispatches allocate only on first use.
 	rows [][][]int32
 
-	// Lifetime tallies are atomic so samplers and StatsSnapshot can
-	// read them from another goroutine while a pass is in flight.
-	nDirty, nSkipped atomic.Int64
+	// dirtyN and skippedN are the lifetime cluster-dispatch tallies,
+	// registered as exec.cluster.dirty / .skipped when traced; they are
+	// atomic, so samplers and StatsSnapshot read them mid-pass.
+	dirtyN, skippedN *obs.Counter
 	// rootTog[r] counts passes on which root r actually toggled — the
 	// busiest-root signal behind the telemetry layer's toggle windows.
 	// clusterDirty[c] counts passes on which cluster c was dispatched
 	// dirty — what prices a run's dirty cost (analyze.DirtyCostFraction).
-	rootTog          []atomic.Int64
-	clusterDirty     []atomic.Int64
-	cDirty, cSkipped *obs.Counter
+	rootTog      []atomic.Int64
+	clusterDirty []atomic.Int64
 }
 
 // enable builds the dispatch state over the plan's activity index,
@@ -78,8 +78,9 @@ func (a *activity) enable(p *plan.Plan, tr *obs.Trace) error {
 		a.rows[li] = make([][]int32, len(p.Layers[li].Groups))
 	}
 	if tr != nil {
-		a.cDirty = tr.Counter("exec.cluster.dirty")
-		a.cSkipped = tr.Counter("exec.cluster.skipped")
+		a.dirtyN, a.skippedN = tr.Counter("exec.cluster.dirty"), tr.Counter("exec.cluster.skipped")
+	} else {
+		a.dirtyN, a.skippedN = new(obs.Counter), new(obs.Counter)
 	}
 	a.invalid = true
 	a.enabled = true
@@ -135,13 +136,8 @@ func (a *activity) begin(sub substrate) {
 			a.clusterDirty[ci].Add(1)
 		}
 	}
-	ns := int64(len(a.dirty)) - nd
-	a.nDirty.Add(nd)
-	a.nSkipped.Add(ns)
-	if a.cDirty != nil {
-		a.cDirty.Add(nd)
-		a.cSkipped.Add(ns)
-	}
+	a.dirtyN.Add(nd)
+	a.skippedN.Add(int64(len(a.dirty)) - nd)
 	a.pass = true
 }
 

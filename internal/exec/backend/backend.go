@@ -211,7 +211,7 @@ func (b *Backend) InvalidateActivity() { b.act.invalid = true }
 // skipped clean over the backend's lifetime (both zero when activity
 // is disabled).
 func (b *Backend) ActivityCounters() (dirty, skipped int64) {
-	return b.act.nDirty.Load(), b.act.nSkipped.Load()
+	return b.act.dirtyN.Value(), b.act.skippedN.Value()
 }
 
 // ActivityRootToggles copies the lifetime per-root toggle counts (how

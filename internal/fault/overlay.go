@@ -157,21 +157,6 @@ func (o *Overlay) AddFault(f Fault, lane int) error {
 	return nil
 }
 
-// Faults returns the number of compiled fault ops.
-func (o *Overlay) Faults() int {
-	n := len(o.seus)
-	for _, ops := range o.forces {
-		n += len(ops)
-	}
-	for _, ops := range o.pins {
-		n += len(ops)
-	}
-	return n
-}
-
-// ResetPass rewinds the forward-pass counter, re-arming SEU flips.
-func (o *Overlay) ResetPass() { o.pass = 0 }
-
 // Apply implements simengine.Overlay: layer -1 fires SEU flips on the
 // armed pass; after each plan layer the stuck-at forcings of LUTs whose
 // term neurons that layer produced are applied per lane.

@@ -30,13 +30,6 @@ type Config struct {
 	RandomCycles int
 	// Seed seeds the random stimuli.
 	Seed int64
-	// Activity enables activity-driven execution on the grading
-	// engine. Overlay passes always run every layer in full (skipping
-	// is scoped to overlay-free forwards) and installing or removing
-	// an overlay invalidates the dirtiness state, so detected-fault
-	// sets are identical with and without it — the interaction tests
-	// enforce that.
-	Activity bool
 	// Trace, when non-nil, records a "fault.grade" root span with one
 	// "round" child per batch pass (plus the engine's forward/kernel
 	// spans underneath) and a "fault.forces" counter of overlay unit
@@ -102,7 +95,6 @@ func Grade(model *nn.Model, g *lutmap.Graph, u *Universe, script *testbench.Scri
 		Workers:            cfg.Workers,
 		Precision:          cfg.Precision,
 		KeepAllActivations: true,
-		Activity:           cfg.Activity,
 		Trace:              cfg.Trace,
 	})
 	if err != nil {

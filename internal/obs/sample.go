@@ -27,11 +27,11 @@ type Sample struct {
 
 // Sampler periodically snapshots every registered counter, gauge and
 // histogram of a Trace into a bounded in-memory ring — the time-series
-// substrate behind the obs.Server /samples.json endpoint and the
-// `c2nn watch` table. Sampling reads the registry with the same
-// consistency guarantees as Dump (histograms snapshot atomically) and
-// never touches the engine hot path: the cost is paid on the sampler's
-// own goroutine, once per interval.
+// substrate behind the obs.Server /samples.json endpoint. It computes
+// no windows: consumers diff samples. Sampling reads the registry with
+// the same consistency guarantees as Dump (histograms snapshot
+// atomically) and never touches the engine hot path: the cost is paid
+// on the sampler's own goroutine, once per interval.
 type Sampler struct {
 	tr       *Trace
 	interval time.Duration
@@ -155,40 +155,6 @@ func (s *Sampler) Samples() []Sample {
 		out = append(out, s.ring[(start+i)%len(s.ring)])
 	}
 	return out
-}
-
-// Last returns the most recent sample, if any.
-func (s *Sampler) Last() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	return s.ring[(s.head-1+len(s.ring))%len(s.ring)], true
-}
-
-// Window returns the last two samples' difference for one counter: the
-// increment over the most recent sampling interval and the wall-clock
-// span it covers. ok is false with fewer than two samples.
-func (s *Sampler) Window(counter string) (delta int64, span time.Duration, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n < 2 {
-		return 0, 0, false
-	}
-	last := &s.ring[(s.head-1+len(s.ring))%len(s.ring)]
-	prev := &s.ring[(s.head-2+len(s.ring))%len(s.ring)]
-	return last.Counters[counter] - prev.Counters[counter], last.Time.Sub(prev.Time), true
-}
-
-// Rate returns a counter's per-second rate over the most recent
-// sampling window (0 with fewer than two samples).
-func (s *Sampler) Rate(counter string) float64 {
-	delta, span, ok := s.Window(counter)
-	if !ok || span <= 0 {
-		return 0
-	}
-	return float64(delta) / span.Seconds()
 }
 
 // WriteJSON writes the retained series as indented JSON — the

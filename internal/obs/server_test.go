@@ -14,7 +14,7 @@ func serverFixture(t *testing.T) (*Trace, *Sampler, *FlightRecorder, *httptest.S
 	t.Helper()
 	tr := New()
 	tr.Counter("exec.cluster.skipped").Add(11)
-	tr.Gauge("engine.cycles_per_sec").Set(1234)
+	tr.Gauge("bp.lanes.used").Set(1234)
 	tr.Histogram("engine.pass_ns", []int64{10, 100}).Observe(42)
 	fr := NewFlightRecorder(32)
 	tr.AttachFlightRecorder(fr)
@@ -49,7 +49,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"exec_cluster_skipped_total 11",
-		"engine_cycles_per_sec 1234",
+		"bp_lanes_used 1234",
 		`engine_pass_ns_bucket{le="100"} 1`,
 		"engine_pass_ns_sum 42",
 	} {

@@ -70,27 +70,6 @@ func lutToPoly(y []int32) {
 	}
 }
 
-// FromTableIterative is the loop form of Algorithm 1 (identical output,
-// no recursion); it exists for the compile-time ablation benchmark.
-func FromTableIterative(t truthtab.Table) Poly {
-	n := t.NumVars
-	coeffs := make([]int32, t.Size())
-	for i := range coeffs {
-		if t.Bit(i) {
-			coeffs[i] = 1
-		}
-	}
-	for v := 0; v < n; v++ {
-		block := 1 << uint(v)
-		for base := 0; base < len(coeffs); base += block << 1 {
-			for i := 0; i < block; i++ {
-				coeffs[base+block+i] -= coeffs[base+i]
-			}
-		}
-	}
-	return fromDense(n, coeffs)
-}
-
 // FromTableDNF converts via the Sum-of-Products route (Fig. 4 baseline):
 // every satisfying row contributes the expansion of its minterm
 // Π set-bits x_i · Π clear-bits (1−x_j), which costs up to 2^L terms per

@@ -74,20 +74,21 @@ type Options struct {
 	// workload — the differential battery enforces it.
 	Activity bool
 	// Stats turns on continuous runtime statistics: every Forward is
-	// timed into a pass-latency histogram and pass/cycle counters, and
-	// StatsSnapshot derives throughput EWMA, activity skip rate and
-	// busiest-root toggle windows from them. The hot-path cost is a few
-	// atomic adds per pass; disabled it is a single nil check and zero
-	// allocations (benchmark-enforced).
+	// timed into a pass-latency histogram and every Step adds to a cycle
+	// counter, and StatsSnapshot reads them as lifetime totals — rates,
+	// skip rates and busiest-root windows are the reader's to derive by
+	// diffing snapshots. The hot-path cost is one histogram observe per
+	// pass and one counter add per cycle; disabled it is a single nil
+	// check and zero allocations (benchmark-enforced).
 	Stats bool
 	// Trace, when non-nil, attaches the observability sink: the plan
 	// lowering records a "plan" span and arena counters, every Forward
 	// records a "forward" span with per-layer kernel child spans, and
 	// the backend registers its dispatch counters and (bit-packed)
 	// plane/lane occupancy gauges. With Stats also set, the pass
-	// histogram and engine gauges land in the trace's registry, so the
-	// obs exporters (Prometheus, sampler) see them. Nil disables all of
-	// it at the cost of one branch per hook.
+	// histogram, the cycle counter and the arena gauge land in the
+	// trace's registry, so the obs exporters (Prometheus, sampler) see
+	// them. Nil disables all of it at the cost of one branch per hook.
 	Trace *obs.Trace
 }
 
@@ -162,6 +163,7 @@ func New(model *nn.Model, opts Options) (*Engine, error) {
 	}
 	if opts.Stats {
 		e.stats = newEngineStats(opts.Trace)
+		opts.Trace.Gauge("engine.arena_bytes").Set(be.MemoryBytes())
 	}
 	runtime.SetFinalizer(e, func(e *Engine) { e.Close() })
 	e.tr.Event("engine", "create",
@@ -352,7 +354,7 @@ func (e *Engine) Forward() {
 	}
 	sp.End()
 	if e.stats != nil {
-		e.stats.recordPass(int64(time.Since(t0)))
+		e.stats.passNS.Observe(int64(time.Since(t0)))
 	}
 }
 
@@ -369,7 +371,7 @@ func (e *Engine) Step() {
 	e.Forward()
 	e.LatchFeedback()
 	if e.stats != nil {
-		e.stats.recordCycle()
+		e.stats.cycles.Inc()
 	}
 }
 

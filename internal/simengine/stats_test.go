@@ -3,7 +3,10 @@ package simengine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"c2nn/internal/compile"
 	"c2nn/internal/lutmap"
@@ -12,6 +15,8 @@ import (
 	"c2nn/internal/synth"
 )
 
+// A reader's window is the difference of two snapshots it took: the
+// lifetime counters partition exactly into consecutive windows.
 func TestStatsSnapshotCountsAndWindows(t *testing.T) {
 	_, model, _ := buildModel(t, crcSrc, "crc8", 4)
 	tr := obs.New()
@@ -20,9 +25,6 @@ func TestStatsSnapshotCountsAndWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.StatsEnabled() {
-		t.Fatal("StatsEnabled() = false with Options.Stats")
-	}
 
 	e.SetInputUniform("rst", 1)
 	e.Step()
@@ -50,40 +52,95 @@ func TestStatsSnapshotCountsAndWindows(t *testing.T) {
 	if s2.Passes != 10 || s2.Cycles != 10 {
 		t.Errorf("passes/cycles = %d/%d, want 10/10", s2.Passes, s2.Cycles)
 	}
-	if s2.WindowPasses != 9 || s2.WindowCycles != 9 {
-		t.Errorf("window passes/cycles = %d/%d, want 9/9", s2.WindowPasses, s2.WindowCycles)
+	if s2.AvgPassNS <= 0 || s2.AvgPassNS != s2.PassNS.Sum/s2.Passes {
+		t.Errorf("avg pass ns = %d, want PassNS.Sum/Passes > 0", s2.AvgPassNS)
 	}
-	if s2.AvgPassNS <= 0 {
-		t.Errorf("avg pass ns = %d, want > 0", s2.AvgPassNS)
+	// One dirty-or-skipped decision per cluster per pass.
+	clusters := int64(len(e.Plan().Clusters.Clusters))
+	if got := (s2.DirtyClusters + s2.SkippedClusters) - (s1.DirtyClusters + s1.SkippedClusters); got != 9*clusters {
+		t.Errorf("activity window = %d cluster decisions, want %d", got, 9*clusters)
 	}
-	// The EWMA starts from the first window, not from zero.
-	if s2.CyclesPerSec != s2.WindowCyclesPerSec {
-		t.Errorf("first-window cycles/s: ewma %v, window %v", s2.CyclesPerSec, s2.WindowCyclesPerSec)
+	if s2.DirtyClusters != tr.Counter("exec.cluster.dirty").Value() ||
+		s2.SkippedClusters != tr.Counter("exec.cluster.skipped").Value() {
+		t.Error("snapshot activity tallies differ from the exec.cluster.* counters")
 	}
-	// Activity windows must partition the cumulative tallies.
-	if got := s2.WindowDirty + s2.WindowSkipped; got != (s2.DirtyClusters+s2.SkippedClusters)-(s1.DirtyClusters+s1.SkippedClusters) {
-		t.Errorf("activity window %d does not match cumulative delta", got)
-	}
-	if s2.SkipRatePct < 0 || s2.SkipRatePct > 100 {
-		t.Errorf("skip rate = %f", s2.SkipRatePct)
-	}
-	// din toggled every step; the busiest-root ranking must surface it.
-	found := false
-	for _, r := range s2.BusiestRoots {
-		if r.Name == "port din" && r.WindowToggles > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("busiest roots %+v missing toggling port din", s2.BusiestRoots)
-	}
-
-	// The trace registry sees the derived gauges after a windowed snapshot.
+	// The arena gauge is set once, at creation.
 	if tr.Gauge("engine.arena_bytes").Value() != s2.ArenaBytes {
 		t.Error("engine.arena_bytes gauge not published")
 	}
-	if s2.WindowCyclesPerSec > 0 && tr.Gauge("engine.cycles_per_sec").Value() < 0 {
-		t.Error("engine.cycles_per_sec gauge not published")
+}
+
+// TestStatsSnapshotIsARead: snapshotting changes nothing, so readers
+// cannot disturb each other's windows, and every lifetime field has
+// one source — the pass histogram and the cycle counter.
+func TestStatsSnapshotIsARead(t *testing.T) {
+	_, model, _ := buildModel(t, crcSrc, "crc8", 4)
+	tr := obs.New()
+	e, err := New(model, Options{Batch: 4, Workers: 1, Stats: true, Activity: true, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.SetInputUniform("en", 1)
+	for i := 0; i < 5; i++ {
+		e.SetInputUniform("din", uint64(i*11))
+		e.Step()
+	}
+
+	lifetime := func(s StatsSnapshot) StatsSnapshot { s.Time = time.Time{}; return s }
+	a, _ := e.StatsSnapshot()
+	b, _ := e.StatsSnapshot()
+	if !reflect.DeepEqual(lifetime(a), lifetime(b)) {
+		t.Errorf("back-to-back snapshots differ:\n%+v\n%+v", a, b)
+	}
+	if a.Passes != a.PassNS.Count {
+		t.Errorf("passes %d != pass histogram count %d", a.Passes, a.PassNS.Count)
+	}
+	if got := tr.Counter("engine.cycles").Value(); got != a.Cycles {
+		t.Errorf("engine.cycles counter = %d, snapshot cycles = %d", got, a.Cycles)
+	}
+
+	// Reader 1 opens a window at a; reader 2 snapshots mid-window; reader
+	// 1's window still spans every step since a.
+	e.Step()
+	e.StatsSnapshot()
+	e.Step()
+	c, _ := e.StatsSnapshot()
+	if c.Cycles-a.Cycles != 2 || c.Passes-a.Passes != 2 {
+		t.Errorf("window after a second reader = %d cycles / %d passes, want 2/2", c.Cycles-a.Cycles, c.Passes-a.Passes)
+	}
+
+	// A concurrent reader sees monotone lifetime counters while the
+	// engine steps (run under -race).
+	done := make(chan struct{})
+	errc := make(chan string, 1)
+	go func() {
+		defer close(errc)
+		var last StatsSnapshot
+		for {
+			s, _ := e.StatsSnapshot()
+			if s.Cycles < last.Cycles || s.Passes < last.Passes || s.DirtyClusters < last.DirtyClusters {
+				errc <- fmt.Sprintf("counters went backwards: %+v after %+v", s, last)
+				return
+			}
+			last = s
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		e.SetInputUniform("din", uint64(i))
+		e.Step()
+	}
+	close(done)
+	if msg, ok := <-errc; ok {
+		t.Error(msg)
+	}
+	if s, _ := e.StatsSnapshot(); s.Cycles != c.Cycles+200 {
+		t.Errorf("cycles = %d, want %d", s.Cycles, c.Cycles+200)
 	}
 }
 
@@ -94,9 +151,6 @@ func TestStatsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.StatsEnabled() {
-		t.Error("stats enabled without Options.Stats")
-	}
 	e.Step()
 	if _, ok := e.StatsSnapshot(); ok {
 		t.Error("snapshot available without Options.Stats")
@@ -219,9 +273,9 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkStepStatsDisabled is the baseline BenchmarkStepStatsEnabled
+// BenchmarkStepStatsOff is the baseline BenchmarkStepStatsOn
 // is read against; TestStepDoesNotAllocate holds the zero-alloc bar.
-func BenchmarkStepStatsDisabled(b *testing.B) {
+func BenchmarkStepStatsOff(b *testing.B) {
 	model := benchModel(b)
 	e, err := New(model, Options{Batch: 64, Workers: 1})
 	if err != nil {
@@ -237,9 +291,9 @@ func BenchmarkStepStatsDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkStepStatsEnabled measures the stats overhead (a few atomic
-// adds and one histogram observe per pass).
-func BenchmarkStepStatsEnabled(b *testing.B) {
+// BenchmarkStepStatsOn measures the stats overhead (one histogram
+// observe per pass and one counter add per cycle).
+func BenchmarkStepStatsOn(b *testing.B) {
 	model := benchModel(b)
 	e, err := New(model, Options{Batch: 64, Workers: 1, Stats: true})
 	if err != nil {
