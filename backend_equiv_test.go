@@ -32,13 +32,18 @@ var backendPrecisions = []simengine.Precision{
 // (simengine.Stimulus) and wide ports are read with GetOutputBits, so
 // the AES/SHA buses are covered at full width. Every model in forms — other networks of the same
 // circuit, such as its nn.Merge — gets its own three engines, held to
-// the same reference.
-func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, forms ...*Model) {
+// the same reference. Engine i of form f runs with k = i + f + rot: on
+// a pool of 1 + k%3 workers (each row group cut one, two or three
+// ways) and with activity skipping when k is odd, so six consecutive
+// rot values give every substrate and form every width with skipping
+// on and off.
+func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, rot int, forms ...*Model) {
 	t.Helper()
 	var engines []*Engine
-	for _, m := range append([]*Model{model}, forms...) {
+	for f, m := range append([]*Model{model}, forms...) {
 		for i, prec := range backendPrecisions {
-			eng, err := NewEngine(m, EngineOptions{Batch: batch, Workers: 1 + i%2, Precision: prec})
+			k := i + f + rot
+			eng, err := NewEngine(m, EngineOptions{Batch: batch, Workers: 1 + k%3, Precision: prec, Activity: k%2 == 1})
 			if err != nil {
 				t.Fatalf("%v engine (merged=%v): %v", prec, m.Merged, err)
 			}
@@ -119,13 +124,14 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64, for
 // TestBackendsBitIdenticalOnBenchmarks runs the differential check on
 // every Table I circuit at two LUT sizes, on the compiled network and
 // its Fig. 5 merge together. Batch 67 exercises partial packed words
-// (one full uint64 plus a 3-lane tail).
+// (one full uint64 plus a 3-lane tail). The six circuits step
+// diffBackends' rotation through every pool width and skip setting.
 func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 	ls := []int{4, 7}
 	if testing.Short() {
 		ls = []int{4}
 	}
-	for _, c := range Benchmarks() {
+	for ci, c := range Benchmarks() {
 		for _, l := range ls {
 			t.Run(fmt.Sprintf("%s/L%d", c.Name, l), func(t *testing.T) {
 				model, err := CompileBenchmark(c.Name, Options{L: l, NoMerge: true})
@@ -140,7 +146,7 @@ func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 					}
 					forms = append(forms, merged)
 				}
-				diffBackends(t, model, 16, 67, int64(l)*1000+7, forms...)
+				diffBackends(t, model, 16, 67, int64(l)*1000+7, ci, forms...)
 			})
 		}
 	}
@@ -313,7 +319,7 @@ func TestBackendsBitIdenticalOnRandomCircuits(t *testing.T) {
 			}
 		}
 		t.Run(fmt.Sprintf("trial%d_K%d_merge%v_batch%d", trial, k, merge, batch), func(t *testing.T) {
-			diffBackends(t, model, 16, batch, int64(trial)*31+5)
+			diffBackends(t, model, 16, batch, int64(trial)*31+5, trial)
 		})
 	}
 }

@@ -29,17 +29,20 @@ type clusterLine struct {
 // analyzeReport is the machine-readable envelope of one "c2nn analyze"
 // target — the static analysis of its compiled execution plan.
 type analyzeReport struct {
-	Circuit      string              `json:"circuit"`
-	L            int                 `json:"l"`
-	Layers       int                 `json:"layers"`
-	TotalUnits   int                 `json:"total_units"`
-	ArenaUnits   int                 `json:"arena_units"`
-	Components   int32               `json:"components"`
-	Clusters     int                 `json:"clusters"`
-	Cost         *analyze.CostReport `json:"cost"`
-	KernelMix    map[string]int      `json:"kernel_mix"`
-	ClusterTable []clusterLine       `json:"cluster_table"`
-	Diags        []diag.Diagnostic   `json:"diagnostics"`
+	Circuit    string              `json:"circuit"`
+	L          int                 `json:"l"`
+	Layers     int                 `json:"layers"`
+	TotalUnits int                 `json:"total_units"`
+	ArenaUnits int                 `json:"arena_units"`
+	Components int32               `json:"components"`
+	Clusters   int                 `json:"clusters"`
+	Cost       *analyze.CostReport `json:"cost"`
+	KernelMix  map[string]int      `json:"kernel_mix"`
+	// ParallelBound is analyze.ParallelBound at two workers: the
+	// row-parallel pool's static speed-up ceiling on this plan.
+	ParallelBound float64           `json:"parallel_bound"`
+	ClusterTable  []clusterLine     `json:"cluster_table"`
+	Diags         []diag.Diagnostic `json:"diagnostics"`
 }
 
 // runAnalyze implements the "c2nn analyze" subcommand: compile targets
@@ -136,17 +139,18 @@ func analyzeTarget(src compile.Source, opts compile.Options) (*analyzeReport, er
 		})
 	}
 	return &analyzeReport{
-		Circuit:      src.Name,
-		L:            model.L,
-		Layers:       len(p.Layers),
-		TotalUnits:   model.Net.TotalUnits,
-		ArenaUnits:   p.ArenaUnits,
-		Components:   meta.NumComponents,
-		Clusters:     len(meta.Clusters),
-		Cost:         res.Cost,
-		KernelMix:    p.KernelMix(),
-		ClusterTable: table,
-		Diags:        r.Diags,
+		Circuit:       src.Name,
+		L:             model.L,
+		Layers:        len(p.Layers),
+		TotalUnits:    model.Net.TotalUnits,
+		ArenaUnits:    p.ArenaUnits,
+		Components:    meta.NumComponents,
+		Clusters:      len(meta.Clusters),
+		Cost:          res.Cost,
+		KernelMix:     p.KernelMix(),
+		ParallelBound: analyze.ParallelBound(p, 2),
+		ClusterTable:  table,
+		Diags:         r.Diags,
 	}, nil
 }
 
@@ -184,6 +188,7 @@ func printAnalyzeText(rep *analyzeReport, topN int, showClusters bool) {
 		rep.Cost.Total.Intensity, rep.Cost.Total.CriticalPath)
 
 	fmt.Printf("  kernel_mix: %d rows (%s)\n", rep.Cost.Total.Rows, mixString(rep.KernelMix))
+	fmt.Printf("  parallel_bound: %.3f (2 workers)\n", rep.ParallelBound)
 
 	if topN > 0 {
 		hot := make([]analyze.LayerCost, len(rep.Cost.Layers))

@@ -108,6 +108,13 @@ var guards = []guard{
 	// polynomial entry points nothing called.
 	{why: "retired engine-side stats windows",
 		pattern: `statsEWMAAlpha|RootToggleStat|BusiestRoots|WindowCyclesPerSec|rankRoots|StatsEnabled|FromTableIterative|ResetPass|engine\.cycles_per_sec|engine\.skip_rate_pct`},
+
+	// Row parallelism has one partition rule, plan.Layer.CutRows (equal
+	// cost): the pool and the static bound of `c2nn analyze` call it,
+	// and the job struct of the equal-row-count pool is gone.
+	{why: "row cuts outside backend.Pool.Run and analyze.ParallelBound",
+		pattern: `\.CutRows\(`, allow: notTests, min: 2, max: 2},
+	{why: "retired equal-row-count pool job", pattern: `poolJob`},
 }
 
 func TestGuards(t *testing.T) {

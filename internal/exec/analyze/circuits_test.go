@@ -54,7 +54,8 @@ func compileCircuit(t *testing.T, c circuits.Circuit, l int, merge bool) *plan.P
 // The merged network is proven where building it is cheap, L ≤ 7.
 //
 // The same plans pin their static cost against planCostFile once every
-// subtest has finished.
+// subtest has finished, and every merged plan must hold its two-worker
+// ParallelBound at minParallelBound.
 func TestBenchmarkCircuitsAliasClean(t *testing.T) {
 	ls := []int{4, 7, 11}
 	if raceflag.Enabled {
@@ -67,7 +68,9 @@ func TestBenchmarkCircuitsAliasClean(t *testing.T) {
 	}
 	var mu sync.Mutex
 	pins := map[string]string{}
+	bounds := map[string][2]float64{}
 	t.Cleanup(func() {
+		checkParallelBounds(t, bounds)
 		if !t.Failed() {
 			checkPlanCost(t, pins)
 		}
@@ -93,8 +96,67 @@ func TestBenchmarkCircuitsAliasClean(t *testing.T) {
 		key := fmt.Sprintf("%s/L=%d/%s", strings.ReplaceAll(c.Name, " ", "_"), l, form)
 		mu.Lock()
 		pins[key] = planCost(p, res.Cost)
+		if merge {
+			bounds[key] = [2]float64{ParallelBound(p, 2), rowCountBound(p, 2)}
+		}
 		mu.Unlock()
 	})
+}
+
+// minParallelBound is the two-worker speed-up every merged plan's row
+// cuts must allow. Equal-row-count halves allowed only 1.673 on merged
+// SHA L=7, 1.378 on UART L=11, 1.770 on UART L=4 and 1.882 on DMA L=4:
+// a merged row's nonzeros vary by orders of magnitude.
+const minParallelBound = 1.95
+
+// rowCountBound is ParallelBound under equal-row-count chunks, the
+// split the pool used before its cuts were weighted, printed beside
+// the bound as a reference.
+func rowCountBound(p *plan.Plan, workers int) float64 {
+	var total, critical int64
+	for li := range p.Layers {
+		l := &p.Layers[li]
+		for _, g := range l.Groups {
+			n, chunk := len(g.Rows), len(g.Rows)
+			if n >= 2*workers {
+				chunk = (n + workers - 1) / workers
+			}
+			var longest int64
+			for lo := 0; lo < n; lo += chunk {
+				var c int64
+				for _, r := range g.Rows[lo:min(lo+chunk, n)] {
+					c += l.RowCost(r)
+				}
+				total += c
+				longest = max(longest, c)
+			}
+			critical += longest
+		}
+	}
+	return float64(total) / float64(critical)
+}
+
+// checkParallelBounds fails with a table of every merged plan's bound,
+// beside its equal-row-count reference, when one falls below
+// minParallelBound.
+func checkParallelBounds(t *testing.T, bounds map[string][2]float64) {
+	low := false
+	for _, b := range bounds {
+		low = low || b[0] < minParallelBound
+	}
+	if !low {
+		return
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "  %-30s %14s %14s\n", "plan", "parallel_bound", "row-count")
+	for _, k := range slices.Sorted(maps.Keys(bounds)) {
+		mark := ""
+		if bounds[k][0] < minParallelBound {
+			mark = "  < " + fmt.Sprint(minParallelBound)
+		}
+		fmt.Fprintf(&b, "  %-30s %14.3f %14.3f%s\n", k, bounds[k][0], bounds[k][1], mark)
+	}
+	t.Errorf("two-worker parallel bound below %v on a merged plan:\n%s", minParallelBound, b.String())
 }
 
 // update rewrites planCostFile from the plans

@@ -260,3 +260,37 @@ func DirtyCostFraction(p *plan.Plan, dirty []int64, passes int64) float64 {
 	}
 	return float64(spent) / (float64(passes) * float64(total))
 }
+
+// ParallelBound is the static speed-up bound of the row-parallel pool
+// at the given width: the plan's total dispatch cost (plan.Layer.RowCost
+// summed over every grouped row) over the sum, per row group, of its
+// costliest chunk as plan.Layer.CutRows cuts it — the chunk the layer
+// barrier waits for. A group the pool runs inline is one chunk. 1 for
+// an empty plan or a width below 2.
+func ParallelBound(p *plan.Plan, workers int) float64 {
+	if workers < 2 {
+		return 1
+	}
+	cuts := make([]int, workers+1)
+	var total, critical int64
+	for li := range p.Layers {
+		l := &p.Layers[li]
+		for _, g := range l.Groups {
+			chunks := l.CutRows(g.Rows, cuts)
+			var longest int64
+			for k := 0; k < chunks; k++ {
+				var c int64
+				for _, r := range g.Rows[cuts[k]:cuts[k+1]] {
+					c += l.RowCost(r)
+				}
+				total += c
+				longest = max(longest, c)
+			}
+			critical += longest
+		}
+	}
+	if critical == 0 {
+		return 1
+	}
+	return float64(total) / float64(critical)
+}

@@ -105,8 +105,9 @@ type Backend struct {
 	// cur is the in-flight dispatch read by runFn. Pool.Run blocks until
 	// every chunk completes, so the fields are stable for a dispatch's
 	// duration; building the closure once keeps RunLayer allocation-free
-	// (a closure handed to Pool.Run escapes through the job channel and
-	// would otherwise heap-allocate on every group of every pass).
+	// (Pool.Run stores the closure for its workers to read, so one built
+	// per call would escape and heap-allocate on every group of every
+	// pass).
 	cur struct {
 		l    *plan.Layer
 		kind plan.KernelKind
@@ -178,7 +179,7 @@ func (b *Backend) RunLayer(li int) {
 		}
 		b.in.countRows(g.Kind, len(rows))
 		b.cur.kind, b.cur.rows = g.Kind, rows
-		b.pool.Run(len(rows), b.runFn)
+		b.pool.Run(l, rows, b.runFn)
 	}
 	sp.End()
 }

@@ -2,12 +2,16 @@ package backend
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/nn"
 	"c2nn/internal/synth"
+	"c2nn/internal/tensor"
 )
 
 const crcSrc = `
@@ -143,38 +147,162 @@ func TestForwardAgreesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestPoolPartitions checks that the pool covers row ranges exactly
-// once, inline and parallel.
+// costLayer builds a layer whose row r has nnz[r] nonzeros — all the
+// pool's cut rule reads of it.
+func costLayer(nnz []int) (*plan.Layer, []int32) {
+	ptr := make([]int32, len(nnz)+1)
+	rows := make([]int32, len(nnz))
+	for r, k := range nnz {
+		ptr[r+1] = ptr[r] + int32(k)
+		rows[r] = int32(r)
+	}
+	return &plan.Layer{WInt: &tensor.Int32CSR{Rows: len(nnz), RowPtr: ptr}}, rows
+}
+
+// TestPoolPartitions checks that the pool covers every dispatched row
+// exactly once under the weighted cuts — one row heavier than all the
+// others, rows that cost only their +1, fewer than two rows per worker,
+// and a strided subset as the activity path dispatches — at widths 1,
+// 2 and 3, and that a closed or nil pool runs inline.
 func TestPoolPartitions(t *testing.T) {
-	for _, workers := range []int{1, 3} {
+	heavy := make([]int, 40)
+	for r := range heavy {
+		heavy[r] = 1
+	}
+	heavy[17] = 1000
+	rng := rand.New(rand.NewSource(5))
+	mixed := make([]int, 200)
+	for r := range mixed {
+		mixed[r] = rng.Intn(60)
+	}
+	shapes := map[string][]int{
+		"heavy": heavy, "unit": make([]int, 97), "mixed": mixed,
+		"one": {3}, "small": {0, 9, 2, 5}, "empty": nil,
+	}
+	for _, workers := range []int{1, 2, 3} {
 		pool := NewPool(workers)
 		if pool.Workers() != workers {
 			t.Fatalf("pool width %d, want %d", pool.Workers(), workers)
 		}
-		for _, n := range []int{0, 1, 5, 97} {
-			hits := make([]int32, n)
-			var mu chan struct{} = make(chan struct{}, 1)
-			mu <- struct{}{}
-			pool.Run(n, func(lo, hi int) {
-				<-mu
-				for i := lo; i < hi; i++ {
-					hits[i]++
+		for name, nnz := range shapes {
+			l, all := costLayer(nnz)
+			var odd []int32
+			for _, r := range all {
+				if r%2 == 1 {
+					odd = append(odd, r)
 				}
-				mu <- struct{}{}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: row %d covered %d times", workers, n, i, h)
+			}
+			for _, rows := range [][]int32{all, odd} {
+				hits := make([]atomic.Int32, len(nnz))
+				pool.Run(l, rows, func(lo, hi int) {
+					for _, r := range rows[lo:hi] {
+						hits[r].Add(1)
+					}
+				})
+				want := make([]int32, len(nnz))
+				for _, r := range rows {
+					want[r] = 1
+				}
+				for r := range hits {
+					if h := hits[r].Load(); h != want[r] {
+						t.Fatalf("workers=%d %s (%d of %d rows): row %d covered %d times, want %d",
+							workers, name, len(rows), len(nnz), r, h, want[r])
+					}
 				}
 			}
 		}
 		pool.Close()
 		pool.Close() // idempotent
+		l, rows := costLayer(mixed)
+		var ranges [][2]int
+		pool.Run(l, rows, func(lo, hi int) { ranges = append(ranges, [2]int{lo, hi}) })
+		if len(ranges) != 1 || ranges[0] != [2]int{0, len(rows)} {
+			t.Fatalf("workers=%d: a closed pool ran %v, want one inline range", workers, ranges)
+		}
 	}
 	var nilPool *Pool
+	l, rows := costLayer([]int{1, 2, 3})
 	ran := false
-	nilPool.Run(3, func(lo, hi int) { ran = lo == 0 && hi == 3 })
+	nilPool.Run(l, rows, func(lo, hi int) { ran = lo == 0 && hi == 3 })
 	if !ran {
 		t.Fatal("nil pool did not run inline")
+	}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to n
+// within a second.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the pool", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolOversubscribed drives pools wider than GOMAXPROCS through
+// 10 000 small dispatches each within a deadline. The chunks are
+// uneven and yield mid-chunk, so one worker is often still running
+// when another finishes; every chunk of a dispatch must have finished
+// when Run returns (the layer barrier).
+func TestPoolOversubscribed(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	l, rows := costLayer([]int{40, 1, 1, 1, 1, 1, 9, 9, 30, 2, 2, 2, 2, 2, 2, 20})
+	for _, c := range []struct{ procs, width int }{{1, 4}, {2, 3}} {
+		runtime.GOMAXPROCS(c.procs)
+		before := runtime.NumGoroutine()
+		pool := NewPool(c.width)
+		if started := runtime.NumGoroutine() - before; started != c.width {
+			t.Fatalf("a %d-wide pool started %d goroutines, want %d", c.width, started, c.width)
+		}
+		var covered atomic.Int64
+		fn := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if i%3 == 0 {
+					runtime.Gosched()
+				}
+				covered.Add(1)
+			}
+		}
+		const dispatches = 10000
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < dispatches; i++ {
+			covered.Store(0)
+			pool.Run(l, rows, fn)
+			if got := covered.Load(); got != int64(len(rows)) {
+				t.Fatalf("GOMAXPROCS %d, width %d, dispatch %d: Run returned after %d of %d rows",
+					c.procs, c.width, i, got, len(rows))
+			}
+			if i%1000 == 0 && time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS %d, width %d: only %d of %d dispatches within the deadline",
+					c.procs, c.width, i, dispatches)
+			}
+		}
+		pool.Close()
+		waitGoroutines(t, before)
+	}
+}
+
+// TestPoolCloseStopsWorkers closes a pool straight after a dispatch,
+// while its workers may still be returning to their channel, and an
+// idle one whose workers are blocked on it: both return promptly and
+// leave no goroutine behind.
+func TestPoolCloseStopsWorkers(t *testing.T) {
+	l, rows := costLayer(make([]int, 64))
+	for _, idle := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		pool := NewPool(3)
+		pool.Run(l, rows, func(lo, hi int) {})
+		if idle {
+			time.Sleep(10 * time.Millisecond)
+		}
+		start := time.Now()
+		pool.Close()
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Close (idle=%v) took %v", idle, d)
+		}
+		waitGoroutines(t, before)
 	}
 }

@@ -154,6 +154,54 @@ func KindOfRow(l *Layer, r int) KernelKind {
 	return KGeneral
 }
 
+// RowCost is row r's dispatch cost: its nonzeros plus one for the
+// output write. A row group holds one kernel kind, so this count ranks
+// its rows by cost on every substrate.
+func (l *Layer) RowCost(r int32) int64 {
+	return int64(l.WInt.RowPtr[r+1]-l.WInt.RowPtr[r]) + 1
+}
+
+// CutRows is the one partition rule of the row-parallel pool. It cuts
+// rows — a row group, or the dirty subset of one — into w =
+// len(cuts)-1 contiguous chunks of near-equal total RowCost (w ≥ 1):
+// chunk k is rows[cuts[k]:cuts[k+1]]. A row goes to the chunk holding
+// the midpoint of its span on the running cost sum, so cut k falls
+// where that sum reaches k/w of the total and a chunk exceeds its
+// share by less than half a row at each end. Fewer than two rows per
+// chunk do not pay for a hand-over: such a range is one chunk. CutRows
+// returns the number of chunks, 1 or w; chunks may be empty when one
+// row outweighs the rest.
+func (l *Layer) CutRows(rows []int32, cuts []int) int {
+	w, n := len(cuts)-1, len(rows)
+	cuts[0] = 0
+	if w < 2 || n < 2*w {
+		cuts[1] = n
+		return 1
+	}
+	var total int64
+	for _, r := range rows {
+		total += l.RowCost(r)
+	}
+	// Row i belongs to chunk ≥ k iff its midpoint s + c/2 ≥ k·total/w,
+	// i.e. w·(2s + c) ≥ 2k·total, in integers.
+	k, s := 1, int64(0)
+	for i, r := range rows {
+		c := l.RowCost(r)
+		for k < w && int64(w)*(2*s+c) >= 2*int64(k)*total {
+			cuts[k] = i
+			k++
+		}
+		if k == w {
+			break
+		}
+		s += c
+	}
+	for ; k <= w; k++ {
+		cuts[k] = n
+	}
+	return w
+}
+
 // buildGroups partitions a lowered layer's rows into specialized kernel
 // groups, ordered by kind with ascending rows — a deterministic
 // function of the layer, so independent compiles agree bit for bit.

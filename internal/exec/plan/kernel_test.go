@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -145,6 +146,60 @@ func TestKindOfRow(t *testing.T) {
 	for _, tc := range cases {
 		if got := KindOfRow(tc.layer, 0); got != tc.want {
 			t.Errorf("%s: selected %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCutRowsBalanced checks the pool's partition rule on random row
+// costs: the cuts tile the rows in order, a range with fewer than two
+// rows per chunk stays whole, and every chunk's cost stays within one
+// row of its share of the total.
+func TestCutRowsBalanced(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		ptr := make([]int32, n+1)
+		rows := make([]int32, n)
+		var total, heaviest int64
+		for r := 0; r < n; r++ {
+			c := rng.Intn(8)
+			if rng.Intn(10) == 0 {
+				c = rng.Intn(500)
+			}
+			ptr[r+1] = ptr[r] + int32(c)
+			rows[r] = int32(r)
+			total += int64(c) + 1
+			heaviest = max(heaviest, int64(c)+1)
+		}
+		l := &Layer{WInt: &tensor.Int32CSR{Rows: n, RowPtr: ptr}}
+		for w := 1; w <= 4; w++ {
+			cuts := make([]int, w+1)
+			chunks := l.CutRows(rows, cuts)
+			if want := w; n < 2*w {
+				want = 1
+				if chunks != want || cuts[1] != n {
+					t.Fatalf("n=%d w=%d: %d chunks, cuts %v; want one whole chunk", n, w, chunks, cuts)
+				}
+				continue
+			} else if chunks != want {
+				t.Fatalf("n=%d w=%d: %d chunks, want %d", n, w, chunks, want)
+			}
+			if cuts[0] != 0 || cuts[w] != n {
+				t.Fatalf("n=%d w=%d: cuts %v do not span the rows", n, w, cuts)
+			}
+			for k := 0; k < w; k++ {
+				if cuts[k] > cuts[k+1] {
+					t.Fatalf("n=%d w=%d: cuts %v not ascending", n, w, cuts)
+				}
+				var c int64
+				for _, r := range rows[cuts[k]:cuts[k+1]] {
+					c += l.RowCost(r)
+				}
+				if int64(w)*c > total+int64(w)*heaviest {
+					t.Fatalf("n=%d w=%d: chunk %d costs %d of %d (heaviest row %d), cuts %v",
+						n, w, k, c, total, heaviest, cuts)
+				}
+			}
 		}
 	}
 }

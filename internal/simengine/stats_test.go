@@ -244,31 +244,53 @@ func TestOverlayEventInFlightDump(t *testing.T) {
 
 // TestStepDoesNotAllocate is the zero-allocation gate in tier-1: with
 // stats and tracing disabled a cycle allocates nothing, on every
-// backend, with the layers run inline or dispatched to the pool.
+// backend, with the layers run inline or cut across a pool of two or
+// three. UART at batch 256 runs every row group over four packed words;
+// DMA with activity skipping, under a stimulus that holds every other
+// cycle, skips part of some row groups, so that leg also cuts dirty
+// subsets.
 func TestStepDoesNotAllocate(t *testing.T) {
-	src, err := compile.Builtin("UART")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := compile.Run(src, compile.Options{L: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim := NewStimulus(res.Model, 256, 1)
-	inputs := stim.Next(nil)
-	for _, prec := range []Precision{Float32, Int32, BitPacked} {
-		for _, workers := range []int{1, 2} {
-			e, err := New(res.Model, Options{Precision: prec, Batch: 256, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		circuit  string
+		batch    int
+		activity bool
+	}{{"UART", 256, false}, {"DMA", 64, true}} {
+		src, err := compile.Builtin(c.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := compile.Run(src, compile.Options{L: 4}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stim := NewStimulus(res.Model, c.batch, 1)
+		inputs := []Cycle{stim.Next(nil), stim.Next(nil)}
+		for _, prec := range []Precision{Float32, Int32, BitPacked} {
+			for _, workers := range []int{1, 2, 3} {
+				e, err := New(res.Model, Options{Precision: prec, Batch: c.batch, Workers: workers, Activity: c.activity})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				step := func() {
+					if n%2 == 0 {
+						if err := stim.Load(e, inputs[n/2%2]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					n++
+					e.Step()
+				}
+				if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+					t.Errorf("%s %v, %d workers, activity %v: Step allocates %.2f times per cycle, want 0",
+						c.circuit, prec, workers, c.activity, allocs)
+				}
+				if dirty, skipped := e.ActivityCounters(); c.activity && (dirty == 0 || skipped == 0) {
+					t.Errorf("%s %v, %d workers: %d clusters dirty, %d skipped; the skip path did not run",
+						c.circuit, prec, workers, dirty, skipped)
+				}
+				e.Close()
 			}
-			if err := stim.Load(e, inputs); err != nil {
-				t.Fatal(err)
-			}
-			if allocs := testing.AllocsPerRun(20, e.Step); allocs != 0 {
-				t.Errorf("%v, %d workers: Step allocates %.0f times per cycle, want 0", prec, workers, allocs)
-			}
-			e.Close()
 		}
 	}
 }

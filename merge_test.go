@@ -63,7 +63,7 @@ func TestMergePreservesRandomCircuits(t *testing.T) {
 					t.Fatalf("layer %d of %d is linear", li, len(layers))
 				}
 			}
-			diffBackends(t, canonical, 16, batch, int64(trial)*53+1, merged)
+			diffBackends(t, canonical, 16, batch, int64(trial)*53+1, trial, merged)
 		})
 	}
 }
