@@ -236,6 +236,35 @@ func TestRunVerifiesWhatItRuns(t *testing.T) {
 	}
 }
 
+// TestRunSmoke is the run smoke, one case per command: gate-level
+// equivalence on UART and on AES's 128-bit ports, random cycles through
+// SHA's 512-bit block, a checked compile to a file and a run of that
+// file, and the UART testbench on every backend.
+func TestRunSmoke(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "u.c2nn")
+	type smoke struct {
+		run  func([]string) error
+		args []string
+		want string
+	}
+	cases := []smoke{
+		{runRun, []string{"-circuit", "UART", "-L", "4", "-verify", "-cycles", "64"}, "VERIFIED: 64 cycles x 256 lanes on float32"},
+		{runRun, []string{"-circuit", "AES", "-L", "4", "-verify", "-backend", "bitpacked", "-cycles", "16"}, "VERIFIED: 16 cycles x 256 lanes on bitpacked"},
+		{runRun, []string{"-circuit", "SHA", "-L", "4", "-cycles", "4", "-backend", "bitpacked"}, "4 cycles x 256 lanes"},
+		{runCompile, []string{"-circuit", "uart", "-L", "4", "-check", "-o", model}, "-> " + model},
+		{runRun, []string{"-model", model, "-cycles", "8"}, "8 cycles x 256 lanes"},
+	}
+	for _, b := range []string{"float32", "int32", "bitpacked"} {
+		cases = append(cases, smoke{runRun, []string{"-circuit", "UART", "-L", "4", "-tb", "../../testbenches/uart_smoke.tb", "-backend", b}, "testbench PASSED"})
+	}
+	for _, tc := range cases {
+		out, err := capture(t, func() error { return tc.run(tc.args) })
+		if err != nil || !strings.Contains(out, tc.want) {
+			t.Errorf("%v: want %q: %v\n%s", tc.args, tc.want, err, out)
+		}
+	}
+}
+
 // TestDriveIsOneMeasurement: a testbench replay plus random cycles is one
 // "run" span whose cycles attribute is the count drive returns, for any
 // subcommand that attaches a trace.

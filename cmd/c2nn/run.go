@@ -10,7 +10,6 @@ import (
 	"c2nn/internal/gatesim"
 	"c2nn/internal/nn"
 	"c2nn/internal/simengine"
-	"c2nn/internal/testbench"
 	"c2nn/internal/vcd"
 )
 
@@ -67,9 +66,9 @@ func runRun(args []string) error {
 	defer s.eng.Close()
 
 	// lane0 reads lane 0 of an output port at full width.
-	lane0 := func(port string) []bool {
-		bits, _ := s.eng.GetOutputBits(port, 0) // port and lane come from the model
-		return bits
+	lane0 := func(port nn.PortMap) []uint64 {
+		out, _ := s.eng.GetOutput(port.Name) // the port comes from the model
+		return out[:len(out)/s.eng.Batch()]
 	}
 	var settled func(cyc int, in simengine.Cycle)
 	if *vcdPath != "" {
@@ -94,13 +93,7 @@ func runRun(args []string) error {
 				sample[port.Name] = in[p][0]
 			}
 			for _, out := range model.Outputs {
-				var v uint64
-				for i, bit := range lane0(out.Name) {
-					if bit && i < 64 {
-						v |= 1 << uint(i)
-					}
-				}
-				sample[out.Name] = v
+				sample[out.Name] = lane0(out)[0]
 			}
 			tracer.Sample(uint64(cyc), sample)
 		}
@@ -121,7 +114,7 @@ func runRun(args []string) error {
 
 	s.eng.Forward()
 	for _, out := range model.Outputs {
-		fmt.Printf("  %s[lane0] = %s\n", out.Name, testbench.FormatBits(lane0(out.Name)))
+		fmt.Printf("  %s[lane0] = %s\n", out.Name, formatWords(lane0(out), len(out.Units)))
 	}
 	return nil
 }
@@ -167,4 +160,15 @@ func printInfo(model *nn.Model) {
 		fmt.Printf(" %s[%d]", p.Name, len(p.Units))
 	}
 	fmt.Println()
+}
+
+// formatWords renders a width-bit value, LSB-first words, as the 0x
+// literal testbench.FormatBits writes: one hex digit per 4 bits.
+func formatWords(v []uint64, width int) string {
+	top := len(v) - 1
+	s := fmt.Sprintf("0x%0*x", max(1, (width-64*top+3)/4), v[top])
+	for k := top - 1; k >= 0; k-- {
+		s += fmt.Sprintf("%016x", v[k])
+	}
+	return s
 }

@@ -115,6 +115,22 @@ var guards = []guard{
 	{why: "row cuts outside backend.Pool.Run and analyze.ParallelBound",
 		pattern: `\.CutRows\(`, allow: notTests, min: 2, max: 2},
 	{why: "retired equal-row-count pool job", pattern: `poolJob`},
+
+	// Ports move as words: simengine.Cycle's lane-major layout is the
+	// engine's one port format at every width, moved by one gather pair
+	// in internal/tensor. The wide-port error, per-lane callers of the
+	// one-lane accessors and per-bit lane loops in the engine must not
+	// come back; the frozen benchmark/ keeps its per-lane calls.
+	{why: "retired wide-port split", pattern: `ErrWidePort`},
+	{why: "one-lane port accessors outside their definitions and benchmark/",
+		pattern: `(SetInputBits|GetOutputBits)\(`,
+		allow:   notTests + `|^benchmark/|^internal/simengine/engine\.go:func \(e \*Engine\) `},
+	{why: "per-lane arena access in the engine beyond PeekUnit, PokeUnit and the one-lane port accessors",
+		pattern: `e\.be\.(Set|Get)\(`, in: `^internal/simengine/`, allow: notTests, min: 4, max: 4},
+	{why: "the lane↔bit-major port gather has one home, internal/tensor",
+		pattern: `^func Packed(Set|Get)Port\(`, in: `^internal/tensor/`, min: 2, max: 2},
+	{why: "callers of the tensor port gather: the bit-packed substrate and StimulusSet.BitMajor",
+		pattern: `tensor\.Packed(Set|Get)Port\(`, allow: notTests, min: 3, max: 3},
 }
 
 func TestGuards(t *testing.T) {

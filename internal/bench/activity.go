@@ -63,17 +63,15 @@ func measureActivity(e *Env, out *emitter, res *CompileResult, script *testbench
 
 	// Equality pass: identical stimuli into both engines, every output
 	// port of every lane recorded at every sample, recordings diffed.
-	var recs [2][]bool
+	var recs [2][]uint64
 	for i, eng := range engines {
 		record := func() error {
 			for _, port := range res.Model.Outputs {
-				for lane := 0; lane < e.Batch; lane++ {
-					bits, err := eng.GetOutputBits(port.Name, lane)
-					if err != nil {
-						return err
-					}
-					recs[i] = append(recs[i], bits...)
+				out, err := eng.GetOutput(port.Name)
+				if err != nil {
+					return err
 				}
+				recs[i] = append(recs[i], out...)
 			}
 			return nil
 		}

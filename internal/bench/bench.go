@@ -18,6 +18,7 @@ import (
 	"c2nn/internal/nn"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
+	"c2nn/internal/tensor"
 )
 
 // timing is what measure observed.
@@ -116,21 +117,22 @@ func NewStimulusSet(model *nn.Model, cycles, lanes int, seed int64) *StimulusSet
 // BitMajor transposes the first 64 lanes of every cycle into the layout
 // BatchSim.Poke takes — words[cycle][port][bit], one lane per bit of
 // each word — so the 64-lane baseline pays for no conversion inside its
-// timed loop.
+// timed loop. It is the bit-packed engine's port gather over a one-word
+// arena whose row i is bit i.
 func (s *StimulusSet) BitMajor() [][][]uint64 {
+	rows := make([][]int32, len(s.Ports))
+	for p, port := range s.Ports {
+		rows[p] = make([]int32, len(port.Units))
+		for i := range rows[p] {
+			rows[p][i] = int32(i)
+		}
+	}
 	words := make([][][]uint64, s.Cycles)
 	for c := range words {
 		words[c] = make([][]uint64, len(s.Ports))
-		for p, port := range s.Ports {
-			w := make([]uint64, len(port.Units))
-			for l := 0; l < 64 && l < s.Lanes; l++ {
-				for bit, v := range s.Bits(s.Values[c], p, l) {
-					if v {
-						w[bit] |= 1 << uint(l)
-					}
-				}
-			}
-			words[c][p] = w
+		for p := range s.Ports {
+			words[c][p] = make([]uint64, len(rows[p]))
+			tensor.PackedSetPort(words[c][p], 1, rows[p], s.Values[c][p], 64)
 		}
 	}
 	return words

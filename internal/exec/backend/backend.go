@@ -65,9 +65,10 @@ func ParseKind(name string) (Kind, error) {
 }
 
 // substrate is what differs between element types: the activation
-// arena, the row kernels over it, the activity snapshot diff and the
-// lane accessors. Activations are binary (a compiled network
-// invariant), so the accessors speak bool regardless of element type.
+// arena, the row kernels over it, the activity snapshot diff, the port
+// transfer and the lane accessors. Activations are binary (a compiled
+// network invariant), so the accessors speak bool regardless of element
+// type.
 type substrate interface {
 	// run evaluates rows of layer l with the kernel of the given kind.
 	run(l *plan.Layer, kind plan.KernelKind, rows []int32)
@@ -77,6 +78,12 @@ type substrate interface {
 	// off, off+1, … and refreshes the snapshot rows that changed.
 	rootToggled(slots []int32, off int) bool
 
+	// SetPort writes a port value, lane-major with ceil(width/64) words
+	// per lane (simengine.Cycle), into rows slots, bit i to slots[i];
+	// lanes vals does not hold in full read as zero. GetPort is the
+	// inverse, for the lanes out holds in full.
+	SetPort(slots []int32, vals []uint64)
+	GetPort(slots []int32, out []uint64)
 	// Set writes one activation lane of an arena row.
 	Set(slot int32, lane int, v bool)
 	// Get reads one activation lane of an arena row.
@@ -92,8 +99,9 @@ type substrate interface {
 }
 
 // Backend is the execution driver over one substrate. The substrate's
-// lane accessors (Set, Get, SetUniform, Copy, Zero, MemoryBytes) are
-// promoted, so a caller's lane access is one dynamic call.
+// port and lane accessors (SetPort, GetPort, Set, Get, SetUniform, Copy,
+// Zero, MemoryBytes) are promoted, so a caller's access is one dynamic
+// call.
 type Backend struct {
 	substrate
 	kind  Kind

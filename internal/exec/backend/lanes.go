@@ -156,6 +156,33 @@ func b2t[T float32 | int32](v bool) T {
 	return 0
 }
 
+// SetPort and GetPort are direct loops: bit i of lane b is element b
+// of row slots[i].
+func (s *lanes[T]) SetPort(slots []int32, vals []uint64) {
+	stride := max(1, (len(slots)+63)/64)
+	n := min(s.batch, len(vals)/stride)
+	for i, slot := range slots {
+		row := s.row(slot)
+		for b := range row[:n] {
+			row[b] = T(vals[b*stride+i/64] >> uint(i%64) & 1)
+		}
+		clear(row[n:])
+	}
+}
+
+func (s *lanes[T]) GetPort(slots []int32, out []uint64) {
+	clear(out)
+	stride := max(1, (len(slots)+63)/64)
+	n := min(s.batch, len(out)/stride)
+	for i, slot := range slots {
+		for b, v := range s.row(slot)[:n] {
+			if v != 0 {
+				out[b*stride+i/64] |= 1 << uint(i%64)
+			}
+		}
+	}
+}
+
 func (s *lanes[T]) Set(slot int32, lane int, v bool) { s.acts[int(slot)*s.batch+lane] = b2t[T](v) }
 
 func (s *lanes[T]) Get(slot int32, lane int) bool { return s.acts[int(slot)*s.batch+lane] != 0 }

@@ -16,12 +16,10 @@ import (
 // never expose them and the per-lane plane arithmetic keeps them from
 // contaminating real lanes.
 type packed struct {
+	batch int
 	words int
 	acts  []uint64 // ArenaUnits × words, neuron-major
-	// prev snapshots the root rows as of the previous activity pass;
-	// tailMask blinds the diff to the garbage lanes of the last word.
-	prev     []uint64
-	tailMask uint64
+	prev  []uint64 // the root rows as of the previous activity pass
 }
 
 func newPacked(p *plan.Plan, batch int, tr *obs.Trace) (*packed, error) {
@@ -58,8 +56,7 @@ func newPacked(p *plan.Plan, batch int, tr *obs.Trace) (*packed, error) {
 		tr.Gauge("bp.planes.max").Set(maxPlanes)
 		tr.Gauge("bp.planes.capacity").Set(tensor.MaxPlanes)
 	}
-	return &packed{words: words, acts: make([]uint64, p.ArenaUnits*words),
-		tailMask: tensor.PackedTailMask(batch)}, nil
+	return &packed{batch: batch, words: words, acts: make([]uint64, p.ArenaUnits*words)}, nil
 }
 
 func (s *packed) run(l *plan.Layer, kind plan.KernelKind, rows []int32) {
@@ -100,17 +97,25 @@ func (s *packed) row(slot int32) []uint64 {
 func (s *packed) snapshot(units int) { s.prev = make([]uint64, units*s.words) }
 
 // rootToggled is one XOR + zero test per word, last word masked to
-// real lanes.
+// real lanes so the garbage lanes beyond the batch never dirty a root.
 func (s *packed) rootToggled(slots []int32, off int) bool {
-	changed := false
+	changed, tail := false, tensor.PackedTailMask(s.batch)
 	for i, slot := range slots {
 		cur, prev := s.row(slot), s.prev[(off+i)*s.words:(off+i+1)*s.words]
-		if tensor.PackedRowDiffers(cur, prev, s.tailMask) {
+		if tensor.PackedRowDiffers(cur, prev, tail) {
 			changed = true
 			copy(prev, cur)
 		}
 	}
 	return changed
+}
+
+func (s *packed) SetPort(slots []int32, vals []uint64) {
+	tensor.PackedSetPort(s.acts, s.words, slots, vals, s.batch)
+}
+
+func (s *packed) GetPort(slots []int32, out []uint64) {
+	tensor.PackedGetPort(s.acts, s.words, slots, out, s.batch)
 }
 
 func (s *packed) Set(slot int32, lane int, v bool) {

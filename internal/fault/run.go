@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"c2nn/internal/lutmap"
@@ -142,23 +143,14 @@ func Grade(model *nn.Model, g *lutmap.Graph, u *Universe, script *testbench.Scri
 		// diff compares every faulty lane of one output port against
 		// the golden lane, marking newly detected classes.
 		diff := func(port string) error {
-			golden, err := eng.GetOutputBits(port, 0)
+			out, err := eng.GetOutput(port)
 			if err != nil {
 				return err
 			}
+			stride := len(out) / eng.Batch()
 			for i, ci := range chunk {
-				if detected[ci] {
-					continue
-				}
-				got, err := eng.GetOutputBits(port, i+1)
-				if err != nil {
-					return err
-				}
-				for b := range golden {
-					if got[b] != golden[b] {
-						detected[ci] = true
-						break
-					}
+				if !slices.Equal(out[(i+1)*stride:(i+2)*stride], out[:stride]) {
+					detected[ci] = true
 				}
 			}
 			return nil

@@ -45,10 +45,6 @@ const (
 	BitPacked = backend.BitPacked
 )
 
-// ErrWidePort is wrapped by GetOutput when a port is wider than the 64
-// bits a uint64 lane can carry; read such ports with GetOutputBits.
-var ErrWidePort = errors.New("port wider than 64 bits, use GetOutputBits")
-
 // Options configures an engine.
 type Options struct {
 	// Batch is the number of stimuli evaluated per pass (default 1).
@@ -117,6 +113,8 @@ type Engine struct {
 	tr       *obs.Trace
 	stats    *engineStats // nil when Options.Stats is off
 	close    sync.Once
+	// in and out map a port name to its arena slots, LSB first.
+	in, out map[string][]int32
 }
 
 // New creates an engine for the model: the model is lowered to an
@@ -160,6 +158,8 @@ func New(model *nn.Model, opts Options) (*Engine, error) {
 		keepAll:  opts.KeepAllActivations,
 		activity: opts.Activity,
 		tr:       opts.Trace,
+		in:       portSlots(model.Inputs, p),
+		out:      portSlots(model.Outputs, p),
 	}
 	if opts.Stats {
 		e.stats = newEngineStats(opts.Trace)
@@ -172,6 +172,19 @@ func New(model *nn.Model, opts Options) (*Engine, error) {
 		obs.Attr{Key: "precision", Str: e.prec.String(), IsStr: true})
 	e.Reset()
 	return e, nil
+}
+
+// portSlots resolves every port's units to arena slots once.
+func portSlots(ports []nn.PortMap, p *plan.Plan) map[string][]int32 {
+	m := make(map[string][]int32, len(ports))
+	for _, pm := range ports {
+		slots := make([]int32, len(pm.Units))
+		for i, u := range pm.Units {
+			slots[i] = p.Slot[u]
+		}
+		m[pm.Name] = slots
+	}
+	return m
 }
 
 // Close stops the engine's worker pool. The engine must not be used
@@ -233,58 +246,46 @@ func (e *Engine) Reset() {
 	e.tr.Event("engine", "reset")
 }
 
-// SetInput loads an input port: values[b] is the port value for batch
-// lane b (LSB-first bit order). Missing lanes and bits beyond 64 read
-// as zero; ports wider than 64 bits need SetInputBits per lane.
+// SetInput loads an input port from its Cycle layout: lane after lane,
+// ceil(width/64) words per lane, least significant first, so for a port
+// of at most 64 bits values[b] is lane b's value. Lanes values does not
+// hold in full read as zero. The port moves in one gather; nothing is
+// allocated.
 func (e *Engine) SetInput(name string, values []uint64) error {
-	pm := e.model.FindInput(name)
-	if pm == nil {
+	slots, ok := e.in[name]
+	if !ok {
 		return fmt.Errorf("simengine: no input port %q", name)
 	}
-	for i, unit := range pm.Units {
-		slot := e.plan.Slot[unit]
-		if i >= 64 {
-			e.be.SetUniform(slot, false)
-			continue
-		}
-		for b := 0; b < e.batch; b++ {
-			var v uint64
-			if b < len(values) {
-				v = values[b]
-			}
-			e.be.Set(slot, b, v>>uint(i)&1 == 1)
-		}
-	}
+	e.be.SetPort(slots, values)
 	return nil
 }
 
 // SetInputUniform loads the same value into all lanes: one row write
 // per port bit. Bits beyond 64 read as zero.
 func (e *Engine) SetInputUniform(name string, value uint64) error {
-	pm := e.model.FindInput(name)
-	if pm == nil {
+	slots, ok := e.in[name]
+	if !ok {
 		return fmt.Errorf("simengine: no input port %q", name)
 	}
-	for i, unit := range pm.Units {
-		e.be.SetUniform(e.plan.Slot[unit], i < 64 && value>>uint(i)&1 == 1)
+	for i, slot := range slots {
+		e.be.SetUniform(slot, i < 64 && value>>uint(i)&1 == 1)
 	}
 	return nil
 }
 
 // SetInputBits loads the full width of an input port for one batch lane
-// (LSB-first), the write-side counterpart of GetOutputBits for buses
-// wider than 64 bits. Missing bits read as zero.
+// (LSB-first), leaving the other lanes as they are. Missing bits read
+// as zero.
 func (e *Engine) SetInputBits(name string, laneIdx int, bits []bool) error {
-	pm := e.model.FindInput(name)
-	if pm == nil {
+	slots, ok := e.in[name]
+	if !ok {
 		return fmt.Errorf("simengine: no input port %q", name)
 	}
 	if laneIdx < 0 || laneIdx >= e.batch {
 		return fmt.Errorf("simengine: lane %d out of range", laneIdx)
 	}
-	for i, unit := range pm.Units {
-		v := i < len(bits) && bits[i]
-		e.be.Set(e.plan.Slot[unit], laneIdx, v)
+	for i, slot := range slots {
+		e.be.Set(slot, laneIdx, i < len(bits) && bits[i])
 	}
 	return nil
 }
@@ -376,44 +377,32 @@ func (e *Engine) Step() {
 }
 
 // GetOutput reads an output port across lanes (values as set by the
-// last Forward). Ports wider than 64 bits do not fit a uint64 lane:
-// GetOutput reports an error wrapping ErrWidePort instead of silently
-// truncating; read those with GetOutputBits.
+// last Forward) in SetInput's Cycle layout, at the port's full width:
+// ceil(width/64) words per lane, at least one, so for a port of at most
+// 64 bits out[b] is lane b's value. Bits above the width read as zero.
 func (e *Engine) GetOutput(name string) ([]uint64, error) {
-	pm := e.model.FindOutput(name)
-	if pm == nil {
+	slots, ok := e.out[name]
+	if !ok {
 		return nil, fmt.Errorf("simengine: no output port %q", name)
 	}
-	if len(pm.Units) > 64 {
-		return nil, fmt.Errorf("simengine: output port %q is %d bits: %w",
-			name, len(pm.Units), ErrWidePort)
-	}
-	out := make([]uint64, e.batch)
-	for i, unit := range pm.Units {
-		slot := e.plan.Slot[unit]
-		for b := 0; b < e.batch; b++ {
-			if e.be.Get(slot, b) {
-				out[b] |= 1 << uint(i)
-			}
-		}
-	}
+	out := make([]uint64, e.batch*max(1, (len(slots)+63)/64))
+	e.be.GetPort(slots, out)
 	return out, nil
 }
 
 // GetOutputBits reads the full width of an output port for one batch
-// lane (wide buses like a 128-bit AES ciphertext don't fit GetOutput's
-// uint64 lanes).
+// lane, LSB first.
 func (e *Engine) GetOutputBits(name string, laneIdx int) ([]bool, error) {
-	pm := e.model.FindOutput(name)
-	if pm == nil {
+	slots, ok := e.out[name]
+	if !ok {
 		return nil, fmt.Errorf("simengine: no output port %q", name)
 	}
 	if laneIdx < 0 || laneIdx >= e.batch {
 		return nil, fmt.Errorf("simengine: lane %d out of range", laneIdx)
 	}
-	out := make([]bool, len(pm.Units))
-	for i, unit := range pm.Units {
-		out[i] = e.be.Get(e.plan.Slot[unit], laneIdx)
+	out := make([]bool, len(slots))
+	for i, slot := range slots {
+		out[i] = e.be.Get(slot, laneIdx)
 	}
 	return out, nil
 }

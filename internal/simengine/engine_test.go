@@ -232,7 +232,8 @@ func TestUnknownPorts(t *testing.T) {
 
 // SetInputUniform must leave exactly the state SetInput of a replicated
 // value leaves, on every backend, including the partial last packed
-// word of batch 67 and the zeroed bits beyond 64 of a wide port.
+// word of batch 67 and the zeroed bits beyond 64 of a wide port (whose
+// lanes take two words in SetInput's layout).
 func TestSetInputUniformMatchesSetInput(t *testing.T) {
 	src := `
 module widein(input clk, input [71:0] a, input [4:0] b, output [71:0] y);
@@ -263,9 +264,10 @@ endmodule`
 						t.Fatal(err)
 					}
 				}
-				vals := make([]uint64, batch)
-				for i := range vals {
-					vals[i] = v
+				stride := (len(in.Units) + 63) / 64
+				vals := make([]uint64, batch*stride)
+				for lane := range batch {
+					vals[lane*stride] = v
 				}
 				if err := uni.SetInputUniform(in.Name, v); err != nil {
 					t.Fatal(err)

@@ -1,8 +1,8 @@
 package simengine
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"time"
@@ -62,17 +62,37 @@ func TestBitPackedMatchesFloat32(t *testing.T) {
 	}
 }
 
-func TestWidePortError(t *testing.T) {
+// TestWidePortFullWidth: GetOutput returns a 96-bit port at full width,
+// two words per lane, equal to GetOutputBits lane for lane.
+func TestWidePortFullWidth(t *testing.T) {
 	_, model, _ := buildModel(t, wideSrc, "wide", 4)
 	eng, err := New(model, Options{Batch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.GetOutput("y"); !errors.Is(err, ErrWidePort) {
-		t.Fatalf("GetOutput on 96-bit port: got %v, want ErrWidePort", err)
+	defer eng.Close()
+	if err := eng.SetInput("a", []uint64{0xA5, 0x3C}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.GetOutputBits("y", 0); err != nil {
-		t.Fatalf("GetOutputBits on 96-bit port: %v", err)
+	eng.Forward()
+	got, err := eng.GetOutput("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{0xA5A5A5A5A5A5A5A5, 0xA5A5A5A5, 0x3C3C3C3C3C3C3C3C, 0x3C3C3C3C}
+	if !slices.Equal(got, want) {
+		t.Fatalf("GetOutput(y) = %#x, want %#x", got, want)
+	}
+	for lane := range 2 {
+		bits, err := eng.GetOutputBits("y", lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bit := range bits {
+			if bit != (got[2*lane+i/64]>>uint(i%64)&1 == 1) {
+				t.Fatalf("lane %d bit %d: GetOutputBits %v, GetOutput disagrees", lane, i, bit)
+			}
+		}
 	}
 }
 

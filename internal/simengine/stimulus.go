@@ -16,13 +16,14 @@ type Stimulus struct {
 	Ports []nn.PortMap // the model's input ports, in Cycle order
 	Lanes int
 	rng   *rand.Rand
-	bits  []bool // scratch returned by Bits
+	bits  []bool   // scratch returned by Bits
+	wide  []uint64 // scratch of Load's broadcast lanes
 }
 
 // Cycle holds one clock cycle of stimulus: Cycle[p] is input port p's
 // values, lane after lane. A lane takes ceil(width/64) words, least
-// significant first, so for a port of at most 64 bits Cycle[p] is the
-// per-lane slice Engine.SetInput takes.
+// significant first — the one port layout Engine.SetInput takes and
+// Engine.GetOutput returns, at every width.
 type Cycle [][]uint64
 
 // NewStimulus creates the generator for the model's input ports with
@@ -66,28 +67,21 @@ func (s *Stimulus) Bits(c Cycle, p, lane int) []bool {
 	return s.bits
 }
 
-// Load loads c into the engine lane for lane. A one-lane generator is
-// the uniform form: its lane goes to every lane of the engine — the
+// Load loads c into the engine, one SetInput per port; engine lanes the
+// generator has none for read as zero. A one-lane generator is the
+// uniform form: its lane is broadcast to every lane of the engine — the
 // identical stimuli fault grading needs.
 func (s *Stimulus) Load(eng *Engine, c Cycle) error {
-	uniform := s.Lanes == 1
 	for p, port := range s.Ports {
-		var err error
-		switch {
-		case len(port.Units) > 64:
-			for lane := 0; lane < eng.Batch() && err == nil; lane++ {
-				from := lane
-				if uniform {
-					from = 0
-				}
-				err = eng.SetInputBits(port.Name, lane, s.Bits(c, p, from))
+		vals := c[p]
+		if s.Lanes == 1 {
+			s.wide = s.wide[:0]
+			for range eng.Batch() {
+				s.wide = append(s.wide, vals...)
 			}
-		case uniform:
-			err = eng.SetInputUniform(port.Name, c[p][0])
-		default:
-			err = eng.SetInput(port.Name, c[p])
+			vals = s.wide
 		}
-		if err != nil {
+		if err := eng.SetInput(port.Name, vals); err != nil {
 			return err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"c2nn/internal/compile"
 	"c2nn/internal/gatesim"
 )
 
@@ -19,14 +18,7 @@ func TestStimulusDrivesWidePorts(t *testing.T) {
 	const lanes = 5
 	for _, tc := range []struct{ circuit, port string }{{"AES", "key"}, {"SHA", "block"}} {
 		t.Run(tc.circuit, func(t *testing.T) {
-			src, err := compile.Builtin(tc.circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := compile.Run(src, compile.Options{L: 4}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := builtin(t, tc.circuit)
 			model := res.Model
 			p, port := -1, model.FindInput(tc.port)
 			for i := range model.Inputs {

@@ -49,21 +49,22 @@ func Verify(model *nn.Model, prog *gatesim.Program, cycles int, opts Options, se
 		}
 		for _, out := range model.Outputs {
 			name := out.Name
+			got, err := eng.GetOutput(name)
+			if err != nil {
+				return res, err
+			}
+			stride := len(got) / res.Batch
 			for b, ref := range refs {
-				got, err := eng.GetOutputBits(name, b)
-				if err != nil {
-					return res, err
-				}
 				want, err := ref.PeekBits(name)
 				if err != nil {
 					return res, err
 				}
 				res.Compared++
-				for i := range want {
-					if got[i] != want[i] {
+				for i, w := range want {
+					if g := got[b*stride+i/64]>>uint(i%64)&1 == 1; g != w {
 						return res, fmt.Errorf(
 							"simengine: cycle %d lane %d port %s bit %d: NN=%v, gate-level=%v",
-							cyc, b, name, i, got[i], want[i])
+							cyc, b, name, i, g, w)
 					}
 				}
 			}

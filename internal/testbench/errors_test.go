@@ -2,8 +2,7 @@ package testbench
 
 // Negative-path tests for the script parser and runner: every error a
 // user can hit must carry the 1-based script line number, and wide
-// (>64-bit) output ports must be checkable through the per-bit
-// fallback rather than erroring out.
+// (>64-bit) output ports are checked at their full width.
 
 import (
 	"fmt"
@@ -82,9 +81,8 @@ func TestRunErrorsCarryLineNumbers(t *testing.T) {
 }
 
 // wideEngine compiles a circuit whose output bus is wider than 64 bits
-// (5 x 16 = 80), built from narrow inputs with a concatenation, so the
-// uint64-based GetOutput path fails with ErrWidePort and expect must
-// fall back to per-bit comparison.
+// (5 x 16 = 80), built from narrow inputs with a concatenation, so
+// GetOutput returns two words per lane.
 func wideEngine(t *testing.T, batch int) *simengine.Engine {
 	t.Helper()
 	nl, err := synth.ElaborateSource("wide", map[string]string{"w.v": `
@@ -112,16 +110,24 @@ endmodule`})
 	return eng
 }
 
-func TestExpectWidePortFallback(t *testing.T) {
+// TestExpectWidePort: expect reads a wide port at full width — its
+// uint64 value is the low word and every higher bit must be 0 — and
+// expectbits takes the whole 80-bit value.
+func TestExpectWidePort(t *testing.T) {
 	eng := wideEngine(t, 2)
-	// a=0x00ff, b=0xff00: a&b = 0, so y[79:64] is all-zero and the low
-	// 64 bits are {a|b, a^b, a, b} = ffff_ffff_00ff_ff00.
+	// a=0x00ff, b=0xff00: y = {a&b, a|b, a^b, a, b}
+	// = 0000_ffff_ffff_00ff_ff00, so y[79:64] is all-zero.
+	// a=b=0xffff: y = ffff_ffff_0000_ffff_ffff.
 	script, err := Parse(`
 set a 0x00ff
 set b 0xff00
 eval
 expect y 0xffffffff00ffff00
 expect_all y 0xffffffff00ffff00
+expectbits y 0x0000ffffffff00ffff00
+set a 0xffff
+set b 0xffff
+expectbits y 0xffffffff0000ffffffff
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +136,9 @@ expect_all y 0xffffffff00ffff00
 	if err != nil {
 		t.Fatalf("wide expect failed: %v", err)
 	}
-	// expect checks 1 lane, expect_all checks both.
-	if res.Checks != 3 {
-		t.Errorf("checks = %d, want 3", res.Checks)
+	// expect checks 1 lane, expect_all and each expectbits both.
+	if res.Checks != 7 {
+		t.Errorf("checks = %d, want 7", res.Checks)
 	}
 }
 
@@ -212,4 +218,41 @@ func FuzzParse(f *testing.F) {
 			prev = d.Line
 		}
 	})
+}
+
+// TestRunOptsAllocations: the runner lays every value out in one reused
+// buffer, so set, setbits and step allocate nothing per directive and an
+// expect allocates only the value GetOutput returns.
+func TestRunOptsAllocations(t *testing.T) {
+	eng := wideEngine(t, 70)
+	const prefix = "set a 0x00ff\nset b 0xff00\neval\n"
+	for _, tc := range []struct {
+		directive string
+		max       float64
+	}{
+		{"set a 0x00ff 0x0f 0xf0", 0},
+		{"setbits b 0xff00", 0},
+		{"step", 0},
+		{"expect y 0xffffffff00ffff00 0xffffffff00ffff00", 1},
+		{"expect_all y 0xffffffff00ffff00", 1},
+		{"expectbits y 0x0000ffffffff00ffff00", 1},
+	} {
+		allocs := func(n int) float64 {
+			script, err := Parse(prefix + strings.Repeat(tc.directive+"\n", n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := script.Run(eng); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Differencing two lengths cancels the per-run set-up, the one
+		// growth of the value buffer included.
+		const n = 64
+		if per := (allocs(2*n) - allocs(n)) / n; per > tc.max {
+			t.Errorf("%q: %.2f allocations per directive, want <= %v", tc.directive, per, tc.max)
+		}
+	}
 }

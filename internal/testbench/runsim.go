@@ -17,14 +17,16 @@ func (s *Script) RunSim(sim *gatesim.Sim) (Result, error) {
 	settled := false
 	for _, d := range s.Directives {
 		switch d.Op {
-		case OpSet:
-			if err := sim.Poke(d.Port, d.Values[0]); err != nil {
-				return res, fmt.Errorf("line %d: %v", d.Line, err)
+		case OpSet, OpSetBits:
+			words := d.Values
+			if d.Op == OpSet {
+				words = words[:1]
 			}
-			settled = false
-			res.Applied++
-		case OpSetBits:
-			if err := sim.PokeBits(d.Port, d.Bits); err != nil {
+			bits := make([]bool, 64*len(words))
+			for i := range bits {
+				bits[i] = words[i/64]>>uint(i%64)&1 == 1
+			}
+			if err := sim.PokeBits(d.Port, bits); err != nil {
 				return res, fmt.Errorf("line %d: %v", d.Line, err)
 			}
 			settled = false
@@ -47,7 +49,7 @@ func (s *Script) RunSim(sim *gatesim.Sim) (Result, error) {
 		case OpReset:
 			sim.Reset()
 			settled = false
-		case OpExpect, OpExpectAll:
+		case OpExpect, OpExpectAll, OpExpectBits:
 			if !settled {
 				sim.Eval()
 				settled = true
@@ -57,33 +59,19 @@ func (s *Script) RunSim(sim *gatesim.Sim) (Result, error) {
 				return res, fmt.Errorf("line %d: %v", d.Line, err)
 			}
 			res.Checks++
-			want := d.Values[0]
+			words := d.Values
+			if d.Op != OpExpectBits {
+				words = words[:1]
+			}
 			for i, bit := range bits {
-				wantBit := i < 64 && want>>uint(i)&1 == 1
+				wantBit := i/64 < len(words) && words[i/64]>>uint(i%64)&1 == 1
 				if bit != wantBit {
 					return res, fmt.Errorf("line %d: %s bit %d = %d, want %d",
 						d.Line, d.Port, i, b2u(bit), b2u(wantBit))
 				}
 			}
-		case OpExpectBits:
-			if !settled {
-				sim.Eval()
-				settled = true
-			}
-			bits, err := sim.PeekBits(d.Port)
-			if err != nil {
-				return res, fmt.Errorf("line %d: %v", d.Line, err)
-			}
-			res.Checks++
-			for i, bit := range bits {
-				wantBit := i < len(d.Bits) && d.Bits[i]
-				if bit != wantBit {
-					return res, fmt.Errorf("line %d: %s bit %d = %d, want %d",
-						d.Line, d.Port, i, b2u(bit), b2u(wantBit))
-				}
-			}
-			for i := len(bits); i < len(d.Bits); i++ {
-				if d.Bits[i] {
+			for i := len(bits); i < 64*len(words); i++ {
+				if words[i/64]>>uint(i%64)&1 == 1 && d.Op == OpExpectBits {
 					return res, fmt.Errorf("line %d: %s expectation sets bit %d but the port is %d bits wide",
 						d.Line, d.Port, i, len(bits))
 				}

@@ -29,8 +29,9 @@
 package testbench
 
 import (
-	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,14 +57,15 @@ const (
 
 // Directive is one parsed script line.
 type Directive struct {
-	Op     Op
-	Line   int
-	Port   string
+	Op   Op
+	Line int
+	Port string
+	// Values holds the set/expect values, one per lane, or the one
+	// setbits/expectbits value as LSB-first words.
 	Values []uint64
-	Count  int    // step count
-	Index  int    // flip-flop index for setff/expectff
-	FFVal  bool   // flip-flop value for setff/expectff
-	Bits   []bool // LSB-first value for setbits/expectbits
+	Count  int  // step count
+	Index  int  // flip-flop index for setff/expectff
+	FFVal  bool // flip-flop value for setff/expectff
 }
 
 // Script is a parsed testbench.
@@ -92,11 +94,11 @@ func Parse(src string) (*Script, error) {
 			}
 			d.Port = fields[1]
 			for _, f := range fields[2:] {
-				v, err := parseValue(f)
-				if err != nil {
-					return nil, fmt.Errorf("line %d: %v", lineNo, err)
+				n := len(d.Values)
+				var err error
+				if d.Values, err = appendWords(d.Values, f); err != nil || len(d.Values) != n+1 {
+					return nil, fmt.Errorf("line %d: bad value %q", lineNo, f)
 				}
-				d.Values = append(d.Values, v)
 			}
 			switch fields[0] {
 			case "set":
@@ -136,11 +138,10 @@ func Parse(src string) (*Script, error) {
 				return nil, fmt.Errorf("line %d: %s needs a port and one value", lineNo, fields[0])
 			}
 			d.Port = fields[1]
-			bits, err := parseBits(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
+			var err error
+			if d.Values, err = appendWords(nil, fields[2]); err != nil {
+				return nil, fmt.Errorf("line %d: bad value %q", lineNo, fields[2])
 			}
-			d.Bits = bits
 			if fields[0] == "setbits" {
 				d.Op = OpSetBits
 			} else {
@@ -168,75 +169,37 @@ func Parse(src string) (*Script, error) {
 	return s, nil
 }
 
-func parseValue(s string) (uint64, error) {
-	base := 10
-	digits := s
-	switch {
-	case strings.HasPrefix(s, "0x"), strings.HasPrefix(s, "0X"):
-		base, digits = 16, s[2:]
-	case strings.HasPrefix(s, "0b"), strings.HasPrefix(s, "0B"):
-		base, digits = 2, s[2:]
-	}
-	v, err := strconv.ParseUint(strings.ReplaceAll(digits, "_", ""), base, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad value %q", s)
-	}
-	return v, nil
-}
-
-// parseBits parses a value of arbitrary bit width into an LSB-first bit
-// slice. Hex and binary literals keep their written width (4 bits per
-// hex digit); decimal values are limited to 64 bits.
-func parseBits(s string) ([]bool, error) {
-	digits := strings.ReplaceAll(s, "_", "")
+// appendWords parses a decimal, 0x… hex or 0b… binary value and
+// appends it to dst as LSB-first words: one word when the value fits
+// 64 bits, else as many as its digits take (4 bits per hex digit).
+// Decimal values are limited to 64 bits.
+func appendWords(dst []uint64, s string) ([]uint64, error) {
+	digits, base, per := strings.ReplaceAll(s, "_", ""), 10, 0
 	switch {
 	case strings.HasPrefix(digits, "0x"), strings.HasPrefix(digits, "0X"):
-		digits = digits[2:]
-		if digits == "" {
-			return nil, fmt.Errorf("bad value %q", s)
-		}
-		bits := make([]bool, 0, 4*len(digits))
-		for i := len(digits) - 1; i >= 0; i-- {
-			v, err := strconv.ParseUint(string(digits[i]), 16, 8)
-			if err != nil {
-				return nil, fmt.Errorf("bad value %q", s)
-			}
-			for k := 0; k < 4; k++ {
-				bits = append(bits, v>>uint(k)&1 == 1)
-			}
-		}
-		return bits, nil
+		digits, base, per = digits[2:], 16, 4
 	case strings.HasPrefix(digits, "0b"), strings.HasPrefix(digits, "0B"):
-		digits = digits[2:]
-		if digits == "" {
-			return nil, fmt.Errorf("bad value %q", s)
+		digits, base, per = digits[2:], 2, 1
+	}
+	if v, err := strconv.ParseUint(digits, base, 64); err == nil || per == 0 || digits == "" {
+		return append(dst, v), err
+	}
+	n, words := len(dst), (per*len(digits)+63)/64
+	dst = slices.Grow(dst, words)[:n+words]
+	clear(dst[n:])
+	for i := range len(digits) {
+		v, err := strconv.ParseUint(digits[len(digits)-1-i:len(digits)-i], base, 8)
+		if err != nil {
+			return dst[:n], err
 		}
-		bits := make([]bool, 0, len(digits))
-		for i := len(digits) - 1; i >= 0; i-- {
-			switch digits[i] {
-			case '0':
-				bits = append(bits, false)
-			case '1':
-				bits = append(bits, true)
-			default:
-				return nil, fmt.Errorf("bad value %q", s)
-			}
-		}
-		return bits, nil
+		dst[n+per*i/64] |= v << uint(per*i%64)
 	}
-	v, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad value %q", s)
-	}
-	bits := make([]bool, 64)
-	for k := range bits {
-		bits[k] = v>>uint(k)&1 == 1
-	}
-	return bits, nil
+	return dst, nil
 }
 
 // FormatBits renders an LSB-first bit slice as a 0x literal accepted by
-// parseBits — the inverse used when generating counterexample scripts.
+// setbits / expectbits — the inverse used when generating counterexample
+// scripts.
 func FormatBits(bits []bool) string {
 	if len(bits) == 0 {
 		return "0x0"
@@ -286,12 +249,15 @@ func (s *Script) Run(eng *simengine.Engine) (Result, error) {
 	return s.RunOpts(eng, RunOptions{})
 }
 
-// RunOpts executes the script with the given options.
+// RunOpts executes the script with the given options. Every set and
+// expect moves its port with one SetInput or GetOutput in the engine's
+// Cycle layout, laid out in one value buffer the whole run reuses.
 func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error) {
 	var res Result
 	batch := eng.Batch()
 	settled := false
 	sample := 0
+	var vals []uint64
 
 	trace := func() error {
 		if opts.Trace == nil {
@@ -302,19 +268,27 @@ func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error)
 		return err
 	}
 
-	expand := func(values []uint64) []uint64 {
-		out := make([]uint64, batch)
+	// expand lays d's value out in vals for a port of stride words per
+	// lane. A set/expect value goes into a lane's low word — the first
+	// value under Uniform, the last one for lanes past the list; a
+	// setbits/expectbits value fills every lane, words past stride
+	// dropped.
+	expand := func(d *Directive, stride int) []uint64 {
+		vals = slices.Grow(vals[:0], batch*stride)[:batch*stride]
+		clear(vals)
 		for b := 0; b < batch; b++ {
+			v := d.Values[len(d.Values)-1:]
 			switch {
+			case d.Op == OpSetBits || d.Op == OpExpectBits:
+				v = d.Values
 			case opts.Uniform:
-				out[b] = values[0]
-			case b < len(values):
-				out[b] = values[b]
-			default:
-				out[b] = values[len(values)-1]
+				v = d.Values[:1]
+			case b < len(d.Values):
+				v = d.Values[b : b+1]
 			}
+			copy(vals[b*stride:(b+1)*stride], v)
 		}
-		return out
+		return vals
 	}
 
 	for _, d := range s.Directives {
@@ -323,8 +297,12 @@ func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error)
 				d.Line, len(d.Values), batch)
 		}
 		switch d.Op {
-		case OpSet:
-			if err := eng.SetInput(d.Port, expand(d.Values)); err != nil {
+		case OpSet, OpSetBits:
+			pm := eng.Model().FindInput(d.Port)
+			if pm == nil {
+				return res, fmt.Errorf("line %d: no input port %q", d.Line, d.Port)
+			}
+			if err := eng.SetInput(d.Port, expand(&d, (len(pm.Units)+63)/64)); err != nil {
 				return res, fmt.Errorf("line %d: %v", d.Line, err)
 			}
 			settled = false
@@ -358,14 +336,6 @@ func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error)
 			}
 			settled = false
 			res.Applied++
-		case OpSetBits:
-			for b := 0; b < batch; b++ {
-				if err := eng.SetInputBits(d.Port, b, d.Bits); err != nil {
-					return res, fmt.Errorf("line %d: %v", d.Line, err)
-				}
-			}
-			settled = false
-			res.Applied++
 		case OpExpectFF:
 			if !settled {
 				eng.Forward()
@@ -391,7 +361,7 @@ func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error)
 						d.Line, d.Index, b, b2u(got), b2u(d.FFVal))
 				}
 			}
-		case OpExpectBits:
+		case OpExpect, OpExpectAll, OpExpectBits:
 			if !settled {
 				eng.Forward()
 				settled = true
@@ -402,73 +372,41 @@ func (s *Script) RunOpts(eng *simengine.Engine, opts RunOptions) (Result, error)
 					return res, fmt.Errorf("line %d: %v", d.Line, err)
 				}
 				continue
-			}
-			for b := 0; b < batch; b++ {
-				bits, err := eng.GetOutputBits(d.Port, b)
-				if err != nil {
-					return res, fmt.Errorf("line %d: %v", d.Line, err)
-				}
-				res.Checks++
-				for i, bit := range bits {
-					wantBit := i < len(d.Bits) && d.Bits[i]
-					if bit != wantBit {
-						return res, fmt.Errorf("line %d: %s lane %d bit %d = %d, want %d",
-							d.Line, d.Port, b, i, b2u(bit), b2u(wantBit))
-					}
-				}
-				for i := len(bits); i < len(d.Bits); i++ {
-					if d.Bits[i] {
-						return res, fmt.Errorf("line %d: %s expectation sets bit %d but the port is %d bits wide",
-							d.Line, d.Port, i, len(bits))
-					}
-				}
-			}
-		case OpExpect, OpExpectAll:
-			if !settled {
-				eng.Forward()
-				settled = true
-			}
-			if opts.Observer != nil {
-				res.Checks++
-				if err := opts.Observer(d.Line, d.Port); err != nil {
-					return res, fmt.Errorf("line %d: %v", d.Line, err)
-				}
-				continue
-			}
-			want := expand(d.Values)
-			lanes := len(d.Values)
-			if d.Op == OpExpectAll {
-				lanes = batch
 			}
 			got, err := eng.GetOutput(d.Port)
 			if err != nil {
-				if !errors.Is(err, simengine.ErrWidePort) {
-					return res, fmt.Errorf("line %d: %v", d.Line, err)
-				}
-				// Ports wider than 64 bits: compare per lane, bit by
-				// bit; the uint64 expectation covers the low 64 bits
-				// and every higher bit must be 0.
-				for b := 0; b < lanes && b < batch; b++ {
-					bits, err := eng.GetOutputBits(d.Port, b)
-					if err != nil {
-						return res, fmt.Errorf("line %d: %v", d.Line, err)
-					}
-					res.Checks++
-					for i, bit := range bits {
-						wantBit := i < 64 && want[b]>>uint(i)&1 == 1
-						if bit != wantBit {
-							return res, fmt.Errorf("line %d: %s lane %d bit %d = %v, want %v (port is %d bits wide)",
-								d.Line, d.Port, b, i, b2u(bit), b2u(wantBit), len(bits))
-						}
-					}
-				}
-				continue
+				return res, fmt.Errorf("line %d: %v", d.Line, err)
 			}
-			for b := 0; b < lanes && b < batch; b++ {
+			width := len(eng.Model().FindOutput(d.Port).Units)
+			for i := width; d.Op == OpExpectBits && i < 64*len(d.Values); i++ {
+				if d.Values[i/64]>>uint(i%64)&1 == 1 {
+					return res, fmt.Errorf("line %d: %s expectation sets bit %d but the port is %d bits wide",
+						d.Line, d.Port, i, width)
+				}
+			}
+			// A uint64 expectation is a wide port's low word; every
+			// higher bit must be 0.
+			stride, lanes := len(got)/batch, batch
+			want := expand(&d, stride)
+			if d.Op == OpExpect {
+				lanes = len(d.Values)
+			}
+			for b := 0; b < lanes; b++ {
 				res.Checks++
-				if got[b] != want[b] {
-					return res, fmt.Errorf("line %d: %s lane %d = %#x, want %#x",
-						d.Line, d.Port, b, got[b], want[b])
+				for k := b * stride; k < (b+1)*stride; k++ {
+					x := got[k] ^ want[k]
+					if x == 0 {
+						continue
+					}
+					i := bits.TrailingZeros64(x)
+					bit := got[k] >> uint(i) & 1
+					i += 64 * (k - b*stride)
+					if stride == 1 && d.Op != OpExpectBits {
+						return res, fmt.Errorf("line %d: %s lane %d = %#x, want %#x",
+							d.Line, d.Port, b, got[k], want[k])
+					}
+					return res, fmt.Errorf("line %d: %s lane %d bit %d = %d, want %d (port is %d bits wide)",
+						d.Line, d.Port, b, i, bit, bit^1, width)
 				}
 			}
 		}
